@@ -1,5 +1,8 @@
 #include "cluster/dispatcher.hh"
 
+#include <algorithm>
+
+#include "core/contracts.hh"
 #include "sim/logging.hh"
 
 namespace polca::cluster {
@@ -9,10 +12,54 @@ Dispatcher::Dispatcher(sim::Simulation &sim, sim::Rng rng)
 {
 }
 
-std::vector<InferenceServer *> &
+Dispatcher::Pool &
 Dispatcher::pool(workload::Priority p)
 {
     return p == workload::Priority::High ? highPool_ : lowPool_;
+}
+
+std::vector<std::uint32_t> *
+Dispatcher::Pool::candidates(Availability a)
+{
+    switch (a) {
+      case Availability::Idle:
+        return &idle;
+      case Availability::Room:
+        return &room;
+      case Availability::Full:
+        return nullptr;
+    }
+    return nullptr;
+}
+
+void
+Dispatcher::Pool::move(std::uint32_t pos, Availability from,
+                       Availability to)
+{
+    if (std::vector<std::uint32_t> *list = candidates(from)) {
+        auto it = std::lower_bound(list->begin(), list->end(), pos);
+        POLCA_ASSERT(it != list->end() && *it == pos,
+                     "server ", servers[pos]->id(),
+                     " missing from its candidate list");
+        list->erase(it);
+    }
+    if (std::vector<std::uint32_t> *list = candidates(to))
+        list->insert(std::lower_bound(list->begin(), list->end(), pos),
+                     pos);
+}
+
+bool
+Dispatcher::Pool::matchesScan() const
+{
+    std::vector<std::uint32_t> scanIdle;
+    std::vector<std::uint32_t> scanRoom;
+    for (std::uint32_t i = 0; i < servers.size(); ++i) {
+        if (servers[i]->idleNow())
+            scanIdle.push_back(i);
+        else if (servers[i]->bufferFree())
+            scanRoom.push_back(i);
+    }
+    return scanIdle == idle && scanRoom == room;
 }
 
 std::deque<workload::Request> &
@@ -26,7 +73,16 @@ Dispatcher::addServer(InferenceServer *server)
 {
     if (!server)
         sim::panic("Dispatcher: null server");
-    pool(server->pool()).push_back(server);
+    Pool &members = pool(server->pool());
+    auto pos = static_cast<std::uint32_t>(members.servers.size());
+    members.servers.push_back(server);
+    Availability now = server->availability();
+    if (std::vector<std::uint32_t> *list = members.candidates(now))
+        list->push_back(pos);  // largest position: stays sorted
+    server->setAvailabilityCallback(
+        [&members, pos](Availability from, Availability to) {
+            members.move(pos, from, to);
+        });
     server->setCompletionCallback(
         [this](InferenceServer &s, const InferenceServer::Completion &c) {
             workload::Priority p = c.request.priority;
@@ -177,32 +233,28 @@ Dispatcher::restoreState(const State &state,
 InferenceServer *
 Dispatcher::pickServer(workload::Priority p)
 {
-    auto &servers = pool(p);
-    if (servers.empty()) {
+    Pool &members = pool(p);
+    if (members.servers.empty()) {
         sim::fatal("Dispatcher: no servers in the ",
                    workload::toString(p), " priority pool");
     }
+    POLCA_DCHECK(members.matchesScan(), "dispatch candidate lists of the ",
+                 workload::toString(p),
+                 " pool differ from a pool scan (missed availability "
+                 "report)");
 
     // Prefer idle servers, then servers with buffer room; pick
     // uniformly at random within the preferred class (load
     // balancing without a shared queue).
-    std::vector<InferenceServer *> idle;
-    std::vector<InferenceServer *> buffered;
-    for (InferenceServer *server : servers) {
-        if (server->idleNow())
-            idle.push_back(server);
-        else if (server->bufferFree())
-            buffered.push_back(server);
-    }
-    auto pick = [this](std::vector<InferenceServer *> &candidates) {
+    auto pick = [this, &members](const std::vector<std::uint32_t> &list) {
         auto i = static_cast<std::size_t>(rng_.uniformInt(
-            0, static_cast<std::int64_t>(candidates.size()) - 1));
-        return candidates[i];
+            0, static_cast<std::int64_t>(list.size()) - 1));
+        return members.servers[list[i]];
     };
-    if (!idle.empty())
-        return pick(idle);
-    if (!buffered.empty())
-        return pick(buffered);
+    if (!members.idle.empty())
+        return pick(members.idle);
+    if (!members.room.empty())
+        return pick(members.room);
     return nullptr;
 }
 

@@ -30,6 +30,10 @@ class Dispatcher
   public:
     Dispatcher(sim::Simulation &sim, sim::Rng rng);
 
+    /** Servers' callbacks hold the dispatcher's address. */
+    Dispatcher(const Dispatcher &) = delete;
+    Dispatcher &operator=(const Dispatcher &) = delete;
+
     /** Register a server (joins the pool of its priority). */
     void addServer(InferenceServer *server);
 
@@ -105,12 +109,38 @@ class Dispatcher
     /** @} */
 
   private:
+    using Availability = InferenceServer::Availability;
+
+    /**
+     * One priority pool and its dispatch candidates: the sorted pool
+     * positions of idle servers, and of busy servers with buffer
+     * room.  Each server reports its availability changes (the
+     * callback captures its position), so the lists are always what
+     * a scan of the pool would collect, in pool order.
+     */
+    struct Pool
+    {
+        std::vector<InferenceServer *> servers;
+        std::vector<std::uint32_t> idle;
+        std::vector<std::uint32_t> room;
+
+        /** Candidate list of @p a; null for Full. */
+        std::vector<std::uint32_t> *candidates(Availability a);
+
+        /** Move position @p pos from the @p from list to the @p to
+         *  list. */
+        void move(std::uint32_t pos, Availability from, Availability to);
+
+        /** The lists equal a fresh scan of the servers. */
+        bool matchesScan() const;
+    };
+
     void scheduleArrival(std::size_t index);
     void arrive(std::size_t index);
     void route(const workload::Request &request);
     void onCompletion(InferenceServer &server);
 
-    std::vector<InferenceServer *> &pool(workload::Priority p);
+    Pool &pool(workload::Priority p);
     std::deque<workload::Request> &central(workload::Priority p);
 
     /** Pick an accepting server: random idle, else random with
@@ -119,10 +149,10 @@ class Dispatcher
 
     sim::Simulation &sim_;
     sim::Rng rng_;
-    // polca-snapshot: skip(lowPool_, topology wiring; servers snapshot themselves)
-    std::vector<InferenceServer *> lowPool_;
-    // polca-snapshot: skip(highPool_, topology wiring; servers snapshot themselves)
-    std::vector<InferenceServer *> highPool_;
+    // polca-snapshot: skip(lowPool_, wiring; lists derived; recomputed on restore)
+    Pool lowPool_;
+    // polca-snapshot: skip(highPool_, wiring; lists derived; recomputed on restore)
+    Pool highPool_;
     std::deque<workload::Request> centralLow_;
     std::deque<workload::Request> centralHigh_;
     sim::Sampler lowLatency_;

@@ -92,6 +92,25 @@ InferenceServer::setMaxBatchSize(std::size_t n)
 }
 
 void
+InferenceServer::powerChanged()
+{
+    if (powerListener_)
+        powerListener_();
+}
+
+void
+InferenceServer::availabilityChanged()
+{
+    Availability now = availability();
+    if (now == reported_)
+        return;
+    Availability before = reported_;
+    reported_ = now;
+    if (onAvailability_)
+        onAvailability_(before, now);
+}
+
+void
 InferenceServer::submit(const workload::Request &request)
 {
     if (crashed_) {
@@ -106,6 +125,7 @@ InferenceServer::submit(const workload::Request &request)
         sim::panic("InferenceServer ", id_,
                    ": submit with full buffer (dispatcher bug)");
     }
+    availabilityChanged();
 }
 
 void
@@ -149,18 +169,16 @@ InferenceServer::currentSlowdown(llm::Phase phase) const
 void
 InferenceServer::setPhaseActivity()
 {
-    if (!active_.has_value()) {
-        for (std::size_t g : usedGpus_)
-            server_.gpu(g).setActivity(power::GpuActivity::idle());
-        return;
+    power::GpuActivity activity = power::GpuActivity::idle();
+    if (active_.has_value()) {
+        llm::InferenceConfig config = configFor(active_->requests);
+        activity = phases_.activity(active_->phase, config);
+        activity.compute *= powerScale_;
+        activity.memory = std::min(activity.memory * powerScale_, 1.2);
     }
-    llm::InferenceConfig config = configFor(active_->requests);
-    power::GpuActivity activity =
-        phases_.activity(active_->phase, config);
-    activity.compute *= powerScale_;
-    activity.memory = std::min(activity.memory * powerScale_, 1.2);
     for (std::size_t g : usedGpus_)
-        server_.gpu(g).setActivity(activity);
+        server_.setGpuActivity(g, activity);
+    powerChanged();
 }
 
 void
@@ -235,6 +253,7 @@ InferenceServer::phaseEnded()
     setPhaseActivity();   // idle
 
     startNextFromBuffer();
+    availabilityChanged();
 
     if (onComplete_) {
         for (const Completion &completion : completions)
@@ -279,6 +298,7 @@ InferenceServer::applyDesiredClock()
         server_.lockClockAll(desired);
     else
         server_.unlockClockAll();
+    powerChanged();
 }
 
 void
@@ -321,6 +341,7 @@ InferenceServer::applyPowerBrake(bool engaged)
     if (crashed_)
         return;
     server_.setPowerBrakeAll(engaged);
+    powerChanged();
     clockChanged();
 }
 
@@ -346,7 +367,8 @@ InferenceServer::crash()
     policyLockMhz_ = 0.0;
     server_.unlockClockAll();
     server_.setPowerBrakeAll(false);
-    setPhaseActivity();
+    setPhaseActivity();  // reports the drop to zero draw
+    availabilityChanged();
 }
 
 void
@@ -355,6 +377,8 @@ InferenceServer::restore()
     // Comes back empty, unlocked, and idle; powerWatts() resumes
     // reporting the (idle) electrical draw.
     crashed_ = false;
+    powerChanged();
+    availabilityChanged();
 }
 
 double
@@ -430,6 +454,8 @@ InferenceServer::restoreState(const State &state)
             state.active->completionWhen, state.active->completionSeq,
             [this] { phaseEnded(); }, "phase-end");
     }
+    powerChanged();
+    availabilityChanged();
 }
 
 void

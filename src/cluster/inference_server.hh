@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "llm/phase_model.hh"
@@ -99,6 +100,36 @@ class InferenceServer : public telemetry::ClockControllable
     /** @return true if submit() may be called. */
     bool canAccept() const { return idleNow() || bufferFree(); }
 
+    /** What an arriving request finds here, for dispatch. */
+    enum class Availability : std::uint8_t
+    {
+        Idle,   ///< idleNow()
+        Room,   ///< busy, but bufferFree()
+        Full,   ///< busy with a full buffer, or crashed
+    };
+
+    Availability availability() const
+    {
+        if (idleNow())
+            return Availability::Idle;
+        return bufferFree() ? Availability::Room : Availability::Full;
+    }
+
+    using AvailabilityCallback =
+        std::function<void(Availability from, Availability to)>;
+
+    /**
+     * Report every availability change to @p callback, with the class
+     * before and after (the dispatcher keeps its candidate lists with
+     * it).  Changes are reported when the server settles: after a
+     * submit, after a batch completes (before the completion
+     * callback), and on crash, restore and snapshot restore.
+     */
+    void setAvailabilityCallback(AvailabilityCallback callback)
+    {
+        onAvailability_ = std::move(callback);
+    }
+
     std::size_t queueDepth() const { return buffer_.size(); }
 
     /** Hand a request to this server; panics if !canAccept(). */
@@ -140,6 +171,17 @@ class InferenceServer : public telemetry::ClockControllable
     double powerWatts() const
     {
         return crashed_ ? 0.0 : server_.powerWatts();
+    }
+
+    /**
+     * Call @p listener whenever powerWatts() may have changed: on a
+     * phase change, lock, brake, crash, restore and snapshot restore.
+     * The server's power-domain leaf marks its ancestors' cached sums
+     * stale with it.
+     */
+    void setPowerListener(std::function<void()> listener)
+    {
+        powerListener_ = std::move(listener);
     }
 
     /**
@@ -263,6 +305,8 @@ class InferenceServer : public telemetry::ClockControllable
     void refreshClock();
     void setPhaseActivity();
     double currentSlowdown(llm::Phase phase) const;
+    void powerChanged();
+    void availabilityChanged();
 
     /**
      * Batched configuration: batch size = #requests; input/output
@@ -298,6 +342,10 @@ class InferenceServer : public telemetry::ClockControllable
     std::size_t maxBatchSize_ = 1;
     std::deque<workload::Request> buffer_;
     CompletionCallback onComplete_;
+    AvailabilityCallback onAvailability_;
+    std::function<void()> powerListener_;
+    // polca-snapshot: skip(reported_, derived; recomputed on restore)
+    Availability reported_ = Availability::Idle;  ///< last reported
     std::uint64_t completed_ = 0;
     sim::Tick busyTicks_ = 0;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/contracts.hh"
 #include "sim/logging.hh"
 
 namespace polca::cluster {
@@ -64,6 +65,8 @@ PowerDomain::addServer(std::unique_ptr<InferenceServer> server,
     PowerDomain &leaf = addChild(std::move(options));
     leaf.server_ = std::move(server);
     leaf.leafBudgetWatts_ = budgetWatts;
+    leaf.server_->setPowerListener(
+        [&leaf] { leaf.markAncestorsStale(); });
     return *leaf.server_;
 }
 
@@ -103,6 +106,11 @@ PowerDomain::finalize()
     finalized_ = true;
     for (auto &child : children_)
         child->finalize();
+    cached_ = !isLeaf() &&
+        std::all_of(children_.begin(), children_.end(),
+                    [](const std::unique_ptr<PowerDomain> &child) {
+                        return child->server_ || child->cached_;
+                    });
     if (manager_) {
         for (auto &child : children_) {
             PowerDomain *raw = child.get();
@@ -173,10 +181,47 @@ PowerDomain::powerWatts() const
         return server_->powerWatts();
     if (supply_)
         return supply_();
+    if (!cached_)
+        return sumChildren();
+    if (stale_) {
+        cachedWatts_ = sumChildren();
+        stale_ = false;
+    }
+    POLCA_DCHECK(core::bitwiseEqual(cachedWatts_, walkWatts()),
+                 "domain '", path(), "': cached sum ", cachedWatts_,
+                 " W != child-order walk ", walkWatts(),
+                 " W (missed invalidation)");
+    return cachedWatts_;
+}
+
+double
+PowerDomain::walkWatts() const
+{
+    if (server_)
+        return server_->powerWatts();
+    if (supply_)
+        return supply_();
+    double total = 0.0;
+    for (const auto &child : children_)
+        total += child->walkWatts();
+    return total;
+}
+
+double
+PowerDomain::sumChildren() const
+{
     double total = 0.0;
     for (const auto &child : children_)
         total += child->powerWatts();
     return total;
+}
+
+void
+PowerDomain::markAncestorsStale()
+{
+    for (PowerDomain *node = parent_; node && !node->stale_;
+         node = node->parent_)
+        node->stale_ = true;
 }
 
 double

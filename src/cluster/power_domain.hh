@@ -17,6 +17,11 @@
  * The flat Row/Datacenter layer is a thin view over this tree: a
  * legacy row is a row-level domain whose children are server leaves,
  * and a datacenter is a site-level domain of such rows.
+ *
+ * Sums are computed once per change, not once per read: every server
+ * leaf reports its draw changes, which mark the cached sums of its
+ * ancestors stale, and a read re-sums only the stale nodes beneath it
+ * (see DESIGN.md, "Power accounting").
  */
 
 #pragma once
@@ -164,7 +169,9 @@ class PowerDomain
     /** @{ */
     /** Instantaneous subtree draw, watts.  Computed child by child,
      *  so a parent's value is exactly the left-to-right sum of its
-     *  children's values at the same instant. */
+     *  children's values at the same instant.  Interior nodes whose
+     *  leaves are all servers cache the sum and re-sum only after a
+     *  leaf below reported a change. */
     double powerWatts() const;
 
     /** Nameplate provisioned power: the sum of leaf budgets. */
@@ -208,6 +215,17 @@ class PowerDomain
     void visit(const std::function<void(const PowerDomain &)> &fn) const;
 
   private:
+    /** Left-to-right sum of the children's readings. */
+    double sumChildren() const;
+
+    /** The same sum walked down to the leaves without any cache: the
+     *  reference the cached sums are cross-checked against. */
+    double walkWatts() const;
+
+    /** Mark the cached sums above this node stale, up to the first
+     *  ancestor that already is (its ancestors are stale too). */
+    void markAncestorsStale();
+
     sim::Simulation &sim_;
     Options options_;
     PowerDomain *parent_ = nullptr;
@@ -217,6 +235,16 @@ class PowerDomain
     std::unique_ptr<InferenceServer> server_;
     PowerSource supply_;
     double leafBudgetWatts_ = 0.0;
+
+    /** Whether powerWatts() caches; decided by finalize(): true for
+     *  interior nodes whose every leaf is a server (an arbitrary
+     *  PowerSource cannot report its changes). */
+    bool cached_ = false;
+    /** Cached sum is out of date.  Stays true on uncached nodes, so
+     *  markAncestorsStale() stops there.  Invariant: a stale node's
+     *  parent is stale. */
+    mutable bool stale_ = true;
+    mutable double cachedWatts_ = 0.0;
 
     std::unique_ptr<telemetry::DomainManager> manager_;
     std::unique_ptr<telemetry::BreakerModel> breaker_;

@@ -32,6 +32,8 @@
 
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -104,6 +106,16 @@ class ScopedContractHandler
                                const char *file, int line,
                                const char *function,
                                std::string message);
+
+/** Bitwise equality of two doubles, for cache cross-checks: a cached
+ *  value must be the very bits a fresh evaluation returns, not merely
+ *  close to them. */
+[[nodiscard]] inline bool
+bitwiseEqual(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+        std::bit_cast<std::uint64_t>(b);
+}
 
 namespace detail {
 

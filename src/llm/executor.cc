@@ -27,7 +27,7 @@ void
 SegmentExecutor::setActivity(const power::GpuActivity &activity)
 {
     for (std::size_t id : gpuIds_)
-        server_.gpu(id).setActivity(activity);
+        server_.setGpuActivity(id, activity);
 }
 
 void

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/contracts.hh"
 #include "sim/logging.hh"
 
 namespace polca::power {
@@ -80,29 +81,60 @@ ServerModel::ServerModel(ServerSpec spec)
         gpus_.emplace_back(spec_.gpu);
 }
 
+ServerModel::Draw
+ServerModel::evaluate() const
+{
+    Draw d;
+    for (const auto &gpu : gpus_)
+        d.gpuWatts += gpu.powerWatts();
+    double gpuIdle = static_cast<double>(gpus_.size()) *
+        spec_.gpu.idleWatts;
+    double gpuDynamic = std::max(0.0, d.gpuWatts - gpuIdle);
+    d.hostWatts = spec_.hostIdleWatts +
+        spec_.hostGpuTrackingFactor * gpuDynamic;
+    d.totalWatts = d.hostWatts + d.gpuWatts;
+    return d;
+}
+
+const ServerModel::Draw &
+ServerModel::draw() const
+{
+    if (stale_) {
+        draw_ = evaluate();
+        stale_ = false;
+    }
+    POLCA_DCHECK(core::bitwiseEqual(draw_.gpuWatts, evaluate().gpuWatts) &&
+                     core::bitwiseEqual(draw_.totalWatts,
+                                        evaluate().totalWatts),
+                 "server '", spec_.name, "': cached draw ",
+                 draw_.totalWatts, " W != evaluated ",
+                 evaluate().totalWatts, " W (missed invalidation)");
+    return draw_;
+}
+
 double
 ServerModel::gpuPowerWatts() const
 {
-    double total = 0.0;
-    for (const auto &gpu : gpus_)
-        total += gpu.powerWatts();
-    return total;
+    return draw().gpuWatts;
 }
 
 double
 ServerModel::hostPowerWatts() const
 {
-    double gpuIdle = static_cast<double>(gpus_.size()) *
-        spec_.gpu.idleWatts;
-    double gpuDynamic = std::max(0.0, gpuPowerWatts() - gpuIdle);
-    return spec_.hostIdleWatts +
-        spec_.hostGpuTrackingFactor * gpuDynamic;
+    return draw().hostWatts;
 }
 
 double
 ServerModel::powerWatts() const
 {
-    return hostPowerWatts() + gpuPowerWatts();
+    return draw().totalWatts;
+}
+
+void
+ServerModel::setGpuActivity(std::size_t i, const GpuActivity &activity)
+{
+    gpus_.at(i).setActivity(activity);
+    stale_ = true;
 }
 
 void
@@ -110,6 +142,7 @@ ServerModel::setActivityAll(const GpuActivity &activity)
 {
     for (auto &gpu : gpus_)
         gpu.setActivity(activity);
+    stale_ = true;
 }
 
 void
@@ -117,6 +150,7 @@ ServerModel::lockClockAll(double mhz)
 {
     for (auto &gpu : gpus_)
         gpu.lockClock(mhz);
+    stale_ = true;
 }
 
 void
@@ -124,11 +158,14 @@ ServerModel::unlockClockAll()
 {
     for (auto &gpu : gpus_)
         gpu.unlockClock();
+    stale_ = true;
 }
 
 void
 ServerModel::setPowerCapAll(double watts)
 {
+    // A cap moves no draw by itself: the clock follows it only at the
+    // next stepCapControllers(), which invalidates.
     for (auto &gpu : gpus_)
         gpu.setPowerCap(watts);
 }
@@ -138,6 +175,7 @@ ServerModel::clearPowerCapAll()
 {
     for (auto &gpu : gpus_)
         gpu.clearPowerCap();
+    stale_ = true;
 }
 
 void
@@ -145,6 +183,7 @@ ServerModel::setPowerBrakeAll(bool engaged)
 {
     for (auto &gpu : gpus_)
         gpu.setPowerBrake(engaged);
+    stale_ = true;
 }
 
 void
@@ -152,6 +191,7 @@ ServerModel::stepCapControllers()
 {
     for (auto &gpu : gpus_)
         gpu.stepCapController();
+    stale_ = true;
 }
 
 double

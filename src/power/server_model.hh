@@ -71,6 +71,12 @@ struct ServerSpec
 
 /**
  * A live server: owns its GPUs and derives total electrical draw.
+ *
+ * The draw is computed once per change, not once per read: every
+ * mutator marks the cached GPU, host and total draw stale, and the
+ * first read after it re-evaluates all GPUs.  GPUs are therefore
+ * reachable only read-only; every change goes through a mutator here,
+ * so nothing can alter a GPU behind the cache.
  */
 class ServerModel
 {
@@ -80,7 +86,6 @@ class ServerModel
     const ServerSpec &spec() const { return spec_; }
 
     std::size_t numGpus() const { return gpus_.size(); }
-    GpuPowerModel &gpu(std::size_t i) { return gpus_.at(i); }
     const GpuPowerModel &gpu(std::size_t i) const { return gpus_.at(i); }
 
     /** Sum of instantaneous GPU power, watts. */
@@ -92,6 +97,9 @@ class ServerModel
 
     /** Total server draw, watts. */
     double powerWatts() const;
+
+    /** Set the activity of GPU @p i (the others keep theirs). */
+    void setGpuActivity(std::size_t i, const GpuActivity &activity);
 
     /** @name Fleet-wide control conveniences */
     /** @{ */
@@ -112,9 +120,26 @@ class ServerModel
     double worstSlowdownFactor(double computeBoundFraction) const;
 
   private:
+    /** GPU, host and total draw, evaluated from the GPUs. */
+    struct Draw
+    {
+        double gpuWatts = 0.0;
+        double hostWatts = 0.0;
+        double totalWatts = 0.0;
+    };
+
+    /** Full evaluation over every GPU (no cache involved). */
+    Draw evaluate() const;
+
+    /** The cached draw, re-evaluated first when stale. */
+    const Draw &draw() const;
+
     ServerSpec spec_;
     std::vector<GpuPowerModel> gpus_;
+    // polca-snapshot: skip(draw_, derived; copied with the GPUs it was computed from)
+    mutable Draw draw_;
+    // polca-snapshot: skip(stale_, derived; copied with the GPUs it was computed from)
+    mutable bool stale_ = true;
 };
 
 } // namespace polca::power
-

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,24 +189,23 @@ warmupConfig(core::PolicyConfig policy)
     return config;
 }
 
-TEST(ParallelSweep, BranchedSweepIsByteIdenticalToFullSimulation)
+/**
+ * Run the points from @p makePoints twice — from scratch on one
+ * worker, and branched from each shared warmup on four — and require
+ * byte-identical artifacts and matching results.  Under TSan this is
+ * also the race check for state that branches rebuild from the shared
+ * snapshot on worker threads.
+ */
+void
+expectBranchedSweepMatchesFull(
+    const std::function<std::vector<core::SweepPoint>()> &makePoints,
+    const std::string &stem)
 {
     sim::QuietScope quiet(true);
-    const std::string dirFull = "parallel_sweep_test_full";
-    const std::string dirBranch = "parallel_sweep_test_branch";
+    const std::string dirFull = stem + "_full";
+    const std::string dirBranch = stem + "_branch";
     std::filesystem::remove_all(dirFull);
     std::filesystem::remove_all(dirBranch);
-
-    auto makePoints = [] {
-        std::vector<core::SweepPoint> points;
-        points.push_back({"policy=polca",
-                          warmupConfig(core::PolicyConfig::polca()),
-                          "shared-warmup"});
-        points.push_back({"policy=nocap",
-                          warmupConfig(core::PolicyConfig::noCap()),
-                          "shared-warmup"});
-        return points;
-    };
 
     core::SweepOptions full;
     full.artifactDir = dirFull;
@@ -224,8 +224,8 @@ TEST(ParallelSweep, BranchedSweepIsByteIdenticalToFullSimulation)
     const auto &fullResults = fullRunner.run();
     const auto &branchResults = branchRunner.run();
 
-    ASSERT_EQ(fullResults.size(), 2u);
-    ASSERT_EQ(branchResults.size(), 2u);
+    ASSERT_EQ(fullResults.size(), makePoints().size());
+    ASSERT_EQ(branchResults.size(), fullResults.size());
     EXPECT_EQ(slurp(std::filesystem::path(dirFull) / "summary.csv"),
               slurp(std::filesystem::path(dirBranch) /
                     "summary.csv"));
@@ -248,6 +248,68 @@ TEST(ParallelSweep, BranchedSweepIsByteIdenticalToFullSimulation)
 
     std::filesystem::remove_all(dirFull);
     std::filesystem::remove_all(dirBranch);
+}
+
+TEST(ParallelSweep, BranchedSweepIsByteIdenticalToFullSimulation)
+{
+    expectBranchedSweepMatchesFull(
+        [] {
+            std::vector<core::SweepPoint> points;
+            points.push_back(
+                {"policy=polca",
+                 warmupConfig(core::PolicyConfig::polca()),
+                 "shared-warmup"});
+            points.push_back(
+                {"policy=nocap",
+                 warmupConfig(core::PolicyConfig::noCap()),
+                 "shared-warmup"});
+            return points;
+        },
+        "parallel_sweep_test");
+}
+
+/** A 2 rows x 2 racks x 4 servers site sharing one warmup. */
+core::ExperimentConfig
+warmupSiteConfig(core::PolicyConfig policy)
+{
+    core::ExperimentConfig config;
+    config.seed = 3;
+    config.duration = sim::secondsToTicks(600);
+    config.warmup = sim::secondsToTicks(240);
+    config.obsOptions.metricsInterval = sim::secondsToTicks(60);
+    config.topology.enabled = true;
+    cluster::TopologyRowGroup group;
+    group.name = "a100";
+    group.rows = 2;
+    group.racksPerRow = 2;
+    group.serversPerRack = 4;
+    config.topology.groups.push_back(group);
+    config.policy = std::move(policy);
+    return config;
+}
+
+TEST(ParallelSweep, BranchedSiteSweepIsByteIdenticalToFullSimulation)
+{
+    // Site worlds rebuild cached domain sums and dispatch candidate
+    // lists while restoring from the snapshot the workers share.
+    expectBranchedSweepMatchesFull(
+        [] {
+            std::vector<core::SweepPoint> points;
+            points.push_back(
+                {"policy=polca",
+                 warmupSiteConfig(core::PolicyConfig::polca()),
+                 "site-warmup"});
+            points.push_back(
+                {"policy=1tlp",
+                 warmupSiteConfig(core::PolicyConfig::oneThreshLowPri()),
+                 "site-warmup"});
+            points.push_back(
+                {"policy=nocap",
+                 warmupSiteConfig(core::PolicyConfig::noCap()),
+                 "site-warmup"});
+            return points;
+        },
+        "parallel_site_sweep_test");
 }
 
 TEST(ParallelSweep, SweepWarmupAndBranchKeysAreReservedNotAxes)

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "power/server_model.hh"
 
@@ -104,15 +108,23 @@ TEST(ServerModel, FleetControlsReachAllGpus)
 
 TEST(ServerModel, WorstSlowdownPicksSlowestGpu)
 {
+    // Only GPU 3 draws enough to trip the cap, so only its clock
+    // throttles.
     ServerModel server(ServerSpec::dgxA100_80gb());
-    server.gpu(3).lockClock(705.0);
-    EXPECT_NEAR(server.worstSlowdownFactor(1.0), 2.0, 1e-9);
+    server.setGpuActivity(3, {1.05, 0.5});
+    server.setPowerCapAll(325.0);
+    for (int i = 0; i < 200; ++i)
+        server.stepCapControllers();
+    double slowest = server.gpu(3).slowdownFactor(1.0);
+    EXPECT_GT(slowest, 1.2);
+    EXPECT_DOUBLE_EQ(server.gpu(0).slowdownFactor(1.0), 1.0);
+    EXPECT_DOUBLE_EQ(server.worstSlowdownFactor(1.0), slowest);
 }
 
 TEST(ServerModel, PerGpuActivityIndependent)
 {
     ServerModel server(ServerSpec::dgxA100_80gb());
-    server.gpu(0).setActivity({1.0, 0.5});
+    server.setGpuActivity(0, {1.0, 0.5});
     double p = server.gpuPowerWatts();
     double idle = server.spec().gpu.idleWatts;
     EXPECT_GT(p, 7 * idle + 300.0);
@@ -137,4 +149,51 @@ TEST(ServerModel, CapControllersStepAcrossGpus)
         EXPECT_LE(server.gpu(i).powerWatts(), 330.0);
     server.clearPowerCapAll();
     EXPECT_GT(server.gpu(0).powerWatts(), 400.0);
+}
+
+TEST(ServerModel, CachedDrawMatchesFreshModelAfterEveryMutator)
+{
+    // Every mutator, in an order where each one moves the draw except
+    // setPowerCapAll: a cap moves nothing until the controllers step,
+    // and then they throttle the loaded GPUs.
+    using Mutation = std::function<void(ServerModel &)>;
+    const std::vector<std::pair<std::string, Mutation>> mutators = {
+        {"setActivityAll",
+         [](ServerModel &s) { s.setActivityAll({1.05, 0.5}); }},
+        {"setGpuActivity",
+         [](ServerModel &s) { s.setGpuActivity(2, {0.3, 0.9}); }},
+        {"setPowerCapAll",
+         [](ServerModel &s) { s.setPowerCapAll(325.0); }},
+        {"stepCapControllers",
+         [](ServerModel &s) { s.stepCapControllers(); }},
+        {"clearPowerCapAll",
+         [](ServerModel &s) { s.clearPowerCapAll(); }},
+        {"lockClockAll", [](ServerModel &s) { s.lockClockAll(1110.0); }},
+        {"unlockClockAll", [](ServerModel &s) { s.unlockClockAll(); }},
+        {"setPowerBrakeAll(true)",
+         [](ServerModel &s) { s.setPowerBrakeAll(true); }},
+        {"setPowerBrakeAll(false)",
+         [](ServerModel &s) { s.setPowerBrakeAll(false); }},
+    };
+
+    // The live model is read after every mutation, so each read comes
+    // from a cache filled before the mutation.  A fresh model replays
+    // the same mutations unread; its first read evaluates the GPUs.
+    // Any mutator that forgets to invalidate leaves a stale value.
+    ServerModel live(ServerSpec::dgxA100_80gb());
+    double before = live.powerWatts();
+    for (std::size_t k = 0; k < mutators.size(); ++k) {
+        mutators[k].second(live);
+        ServerModel fresh(ServerSpec::dgxA100_80gb());
+        for (std::size_t j = 0; j <= k; ++j)
+            mutators[j].second(fresh);
+        SCOPED_TRACE("after " + mutators[k].first);
+        EXPECT_EQ(live.powerWatts(), fresh.powerWatts());
+        EXPECT_EQ(live.gpuPowerWatts(), fresh.gpuPowerWatts());
+        EXPECT_EQ(live.hostPowerWatts(), fresh.hostPowerWatts());
+        if (mutators[k].first != "setPowerCapAll") {
+            EXPECT_NE(live.powerWatts(), before);
+        }
+        before = live.powerWatts();
+    }
 }
