@@ -40,7 +40,7 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
-/** Fire-and-forget fast path: no Handle, no control block. */
+/** Fire-and-forget path: no handle to return. */
 void
 BM_EventQueuePostRun(benchmark::State &state)
 {
@@ -231,13 +231,14 @@ BENCHMARK(BM_SumOnGrid)->Arg(8)->Arg(64);
 
 /**
  * Checkpoint/branch sweep execution against full re-simulation: the
- * same two-point policy sweep plus per-point baselines, where all
- * four runs share a 3000 s warmup prefix of a 3600 s horizon.
- * Arg(0) runs every point from scratch (4 x 3600 simulated
- * seconds); Arg(1) simulates the warmup once and forks the other
- * three runs from the in-memory snapshot (3000 + 4 x 600).  The
- * branched variant must stay >= 2x faster; CI gates both rows via
- * tools/bench_compare against BENCH_simperf.json.
+ * same two-point policy sweep plus baselines, where all runs share a
+ * 3000 s warmup prefix of a 3600 s horizon.  Arg(0) runs every point
+ * and its own baseline from scratch (4 x 3600 simulated seconds);
+ * Arg(1) simulates the warmup once and forks the other managed run
+ * and the group's one shared baseline from the in-memory snapshot
+ * (3000 + 3 x 600).  The branched variant must stay >= 2x faster;
+ * CI gates both rows via tools/bench_compare against
+ * BENCH_simperf.json.
  */
 void
 BM_SweepBranchVsFull(benchmark::State &state)

@@ -304,6 +304,8 @@ captureSiteSnapshot(SiteWorld &world)
 {
     WarmupSnapshot snap;
     snap.warmup = world.config.warmup;
+    snap.seed = world.config.seed;
+    snap.duration = world.config.duration;
     snap.simState.queue = world.sim.queue().captureState();
     snap.traces = world.traces;
     for (cluster::Site::SiteRow &row : world.site.rows())
@@ -340,6 +342,13 @@ restoreSiteWorld(SiteWorld &world, const WarmupSnapshot &snapshot)
     POLCA_CHECK(snapshot.warmup == config.warmup,
                 "branching at warmup ", config.warmup,
                 " from a snapshot captured at ", snapshot.warmup);
+    POLCA_CHECK(snapshot.seed == config.seed,
+                "branching seed ", config.seed,
+                " from a snapshot captured with seed ", snapshot.seed);
+    POLCA_CHECK(snapshot.duration == config.duration,
+                "branching a run of duration ", config.duration,
+                " from a snapshot of a run of duration ",
+                snapshot.duration);
     POLCA_CHECK(!world.obs || snapshot.hasObs,
                 "branching an observed run from an unobserved "
                 "snapshot: the warmup's metric values are missing");

@@ -137,11 +137,27 @@ SweepRunner::runBaseline(std::size_t index)
     results_[index].baseline = runOversubExperiment(base);
 }
 
+std::size_t
+SweepRunner::baselineOwner(std::size_t index) const
+{
+    // Members of a group differ only in control-plane sections, and
+    // unthrottledBaseline() removes the control plane (no manager,
+    // no faults or chaos, no safety monitor), so every member's
+    // baseline is the same run: simulate it once, for the leader.
+    int g = group_[index];
+    return g >= 0 ? groupLeader_[static_cast<std::size_t>(g)] : index;
+}
+
 void
 SweepRunner::finishPoint(std::size_t index, obs::Observability *sink)
 {
     SweepPointResult &out = results_[index];
     if (options_.runBaseline) {
+        // A group's leader is its lowest index, so its baseline is
+        // finished before any other member gets here.
+        std::size_t owner = baselineOwner(index);
+        if (owner != index)
+            out.baseline = results_[owner].baseline;
         out.lowNorm = normalizeLatency(out.result.low,
                                        out.baseline.low);
         out.highNorm = normalizeLatency(out.result.high,
@@ -192,7 +208,7 @@ SweepRunner::runSequential()
         }
         obs::Observability obs;
         obs::Observability *sink = runManaged(i, &obs);
-        if (options_.runBaseline)
+        if (options_.runBaseline && baselineOwner(i) == i)
             runBaseline(i);
         finishPoint(i, sink);
     }
@@ -240,7 +256,7 @@ SweepRunner::runParallel(int jobs)
                     return runManaged(i, sinks[i].get());
                 });
             }
-            if (options_.runBaseline) {
+            if (options_.runBaseline && baselineOwner(i) == i) {
                 baselines[i] = pool.submit([this, i] {
                     runBaseline(i);
                 });
@@ -251,7 +267,7 @@ SweepRunner::runParallel(int jobs)
         // progress come out in the same order as a jobs=1 run.
         for (std::size_t i = 0; i < n; ++i) {
             obs::Observability *sink = managed[i].get();
-            if (options_.runBaseline)
+            if (options_.runBaseline && baselineOwner(i) == i)
                 baselines[i].get();
             finishPoint(i, sink);
             if (options_.echoProgress) {
@@ -319,10 +335,11 @@ SweepRunner::run()
         std::size_t branched = 0;
         for (int g : group_)
             branched += g >= 0;
-        // Leaders simulate their own warmup live; every other run
-        // of a group forks from the leader's snapshot.
-        std::size_t runs = branched * (options_.runBaseline ? 2 : 1) -
-                           groupLeader_.size();
+        // Leaders simulate their own warmup live; every other
+        // managed run of a group, and the group's one baseline, forks
+        // from the leader's snapshot.
+        std::size_t runs = branched - groupLeader_.size() +
+            (options_.runBaseline ? groupLeader_.size() : 0);
         std::printf("[sweep] branch: %zu warmup snapshot%s feeding "
                     "%zu run%s\n",
                     groupLeader_.size(),

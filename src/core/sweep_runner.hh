@@ -22,11 +22,13 @@
  * With SweepOptions::branch (the default) and warmup > 0, points
  * sharing a warmup prefix (SweepPoint::warmupKey) simulate the prefix
  * once: the group leader runs its warmup live, captures a
- * core::WarmupSnapshot at the boundary, and every other member — and
- * every baseline, including the leader's — forks from the immutable
- * in-memory snapshot instead of re-simulating [0, warmup).  Branched
- * runs are bit-exact continuations, so all artifacts stay
- * byte-identical to a branch = false sweep.
+ * core::WarmupSnapshot at the boundary, and every other member forks
+ * from the immutable in-memory snapshot instead of re-simulating
+ * [0, warmup).  The group's unthrottled baseline is simulated once,
+ * also forked from the snapshot, and copied to every member: members
+ * differ only in control-plane sections, which unthrottledBaseline()
+ * removes.  Branched runs are bit-exact continuations, so all
+ * artifacts stay byte-identical to a branch = false sweep.
  */
 
 #pragma once
@@ -60,9 +62,14 @@ struct SweepPoint
      * physical trajectory up to t = warmup (config::warmupDigest
      * fills this from the resolved dump with the control-plane
      * sections filtered out).  The runner simulates the warmup once
-     * per distinct key and forks every member — and every baseline —
-     * from the in-memory snapshot.  Empty key: the point still
-     * branches its own baseline off its managed warmup when
+     * per distinct key, forks every member from the in-memory
+     * snapshot, and runs one unthrottled baseline for the whole
+     * group.  Equal keys therefore promise equal configs outside the
+     * control plane (policy, manager, safety, faults, chaos,
+     * `managed`, `recordRowSeries`); a hand-made key must keep that
+     * promise.  A differing seed or duration panics at restore time;
+     * other physical differences go undetected.  Empty key: the point
+     * still branches its own baseline off its managed warmup when
      * warmup > 0, but shares nothing with other points.
      */
     std::string warmupKey;
@@ -156,7 +163,13 @@ class SweepRunner
      *  results_[index].baseline. */
     void runBaseline(std::size_t index);
 
-    /** Normalize latencies and write the per-point artifact CSV. */
+    /** The point whose baseline point @p index reuses: its group
+     *  leader when it branches (one baseline per warmup group), else
+     *  the point itself. */
+    std::size_t baselineOwner(std::size_t index) const;
+
+    /** Adopt a shared baseline, normalize latencies and write the
+     *  per-point artifact CSV. */
     void finishPoint(std::size_t index, obs::Observability *sink);
 
     void runSequential();

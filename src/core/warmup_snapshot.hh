@@ -27,6 +27,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -64,6 +65,12 @@ struct WarmupSnapshot
     /** Boundary time; a branch must be configured with the same
      *  `experiment.warmup`. */
     sim::Tick warmup = 0;
+
+    /** Seed and horizon of the captured run.  A branch must match
+     *  both: it adopts the snapshot's RNG state and its trace, which
+     *  was generated from the seed over the whole horizon. */
+    std::uint64_t seed = 0;
+    sim::Tick duration = 0;
 
     /** Whether the captured run had an Observability sink attached.
      *  A branch with a sink can only fork from an observed snapshot

@@ -8,6 +8,18 @@
 
 namespace polca::power {
 
+namespace {
+
+/** One dynamic term's clock factor (f / fmax)^exponent, unmemoized. */
+double
+clockTerm(const GpuSpec &spec, double mhz, double exponent)
+{
+    double ratio = std::clamp(mhz / spec.maxSmClockMhz, 0.0, 1.0);
+    return std::pow(ratio, exponent);
+}
+
+} // namespace
+
 GpuPowerModel::GpuPowerModel(GpuSpec spec)
     : spec_(std::move(spec)), capThrottleClockMhz_(spec_.maxSmClockMhz)
 {
@@ -74,11 +86,27 @@ GpuPowerModel::effectiveClockMhz() const
 double
 GpuPowerModel::powerAtClock(double mhz) const
 {
-    double ratio = std::clamp(mhz / spec_.maxSmClockMhz, 0.0, 1.0);
-    double compute = activity_.compute * spec_.computeDynWatts *
-        std::pow(ratio, spec_.computeClockExponent);
-    double memory = activity_.memory * spec_.memoryDynWatts *
-        std::pow(ratio, spec_.memoryClockExponent);
+    if (mhz != memoClockMhz_) {
+        memoClockMhz_ = mhz;
+        memoComputeTerm_ =
+            clockTerm(spec_, mhz, spec_.computeClockExponent);
+        memoMemoryTerm_ = clockTerm(spec_, mhz, spec_.memoryClockExponent);
+    }
+    POLCA_DCHECK(
+        core::bitwiseEqual(memoComputeTerm_,
+                           clockTerm(spec_, mhz,
+                                     spec_.computeClockExponent)) &&
+            core::bitwiseEqual(memoMemoryTerm_,
+                               clockTerm(spec_, mhz,
+                                         spec_.memoryClockExponent)),
+        "memoized clock terms at ", mhz,
+        " MHz differ from a fresh evaluation");
+    // Same operation order as the unmemoized formula,
+    // (activity * dynWatts) * term, so every draw is bitwise equal.
+    double compute =
+        activity_.compute * spec_.computeDynWatts * memoComputeTerm_;
+    double memory =
+        activity_.memory * spec_.memoryDynWatts * memoMemoryTerm_;
     return spec_.idleWatts + compute + memory;
 }
 

@@ -7,6 +7,8 @@
 
 #pragma once
 
+#include <limits>
+
 #include "power/gpu_spec.hh"
 #include "sim/types.hh"
 
@@ -87,7 +89,12 @@ class GpuPowerModel
     /** Instantaneous power draw at the current activity/clock. */
     double powerWatts() const;
 
-    /** Power that the current activity would draw at clock @p mhz. */
+    /**
+     * Power that the current activity would draw at clock @p mhz.
+     * The two clock terms (f / fmax)^exponent are memoized for the
+     * last clock they were computed at, so reads at an unchanged
+     * clock skip std::pow; the result is bitwise the same either way.
+     */
     double powerAtClock(double mhz) const;
 
     /**
@@ -122,6 +129,17 @@ class GpuPowerModel
     double capWatts_ = 0.0;         ///< 0 = uncapped
     double capThrottleClockMhz_;    ///< cap controller's clock ceiling
     bool brakeEngaged_ = false;
+
+    // Clock terms (f / fmax)^exponent for memoClockMhz_; a copy
+    // carries them with the knobs, and any other clock recomputes.
+    // NaN matches no clock, so the first read computes them.
+    // polca-snapshot: skip(memoClockMhz_, derived; keys the clock terms, recomputed at any other clock)
+    mutable double memoClockMhz_ =
+        std::numeric_limits<double>::quiet_NaN();
+    // polca-snapshot: skip(memoComputeTerm_, derived; recomputed with memoClockMhz_)
+    mutable double memoComputeTerm_ = 0.0;
+    // polca-snapshot: skip(memoMemoryTerm_, derived; recomputed with memoClockMhz_)
+    mutable double memoMemoryTerm_ = 0.0;
 };
 
 } // namespace polca::power

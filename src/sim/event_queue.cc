@@ -33,7 +33,6 @@ EventQueue::freeSlot(std::uint32_t slot)
 {
     Slot &s = slab_[slot];
     s.callback = nullptr;
-    s.control.reset();
     s.nextFree = freeHead_;
     freeHead_ = slot;
 }
@@ -70,12 +69,8 @@ EventQueue::Handle
 EventQueue::schedule(Tick when, Callback callback, std::string name)
 {
     std::uint32_t slot = enqueue(when, callback, name);
-    auto control = std::make_shared<Handle::Control>();
-    control->slot = slot;
-    control->when = when;
-    control->seq = slab_[slot].seq;
-    slab_[slot].control = control;
-    return Handle(std::move(control));
+    const Slot &s = slab_[slot];
+    return Handle(this, slot, s.generation, when, s.seq);
 }
 
 EventQueue::Handle
@@ -100,21 +95,28 @@ EventQueue::postAfter(Tick delay, Callback callback, std::string name)
 }
 
 void
-EventQueue::cancel(Handle &handle)
+EventQueue::cancel(const Handle &handle)
 {
-    if (!handle.control_ || handle.control_->done)
+    if (!handle.queue_)
         return;
-    handle.control_->done = true;
-    // Release the callback's resources now, but keep the slot
-    // occupied until its heap entry surfaces (see Slot).
-    POLCA_ASSERT(handle.control_->slot < slab_.size(),
-                 "live handle points at slot ", handle.control_->slot,
+    // Another queue's slot index names an unrelated event here.
+    POLCA_CHECK(handle.queue_ == this,
+                "cancel() with a handle from another event queue");
+    POLCA_ASSERT(handle.slot_ < slab_.size(),
+                 "handle points at slot ", handle.slot_,
                  " outside slab of ", slab_.size());
+    Slot &s = slab_[handle.slot_];
+    if (s.generation != handle.generation_)
+        return;  // already fired, cancelled or discarded
+    POLCA_DCHECK(static_cast<bool>(s.callback),
+                 "pending handle's slot ", handle.slot_,
+                 " holds no callback");
     POLCA_ASSERT(liveEvents_ > 0,
                  "cancelling a live handle with no live events");
-    Slot &s = slab_[handle.control_->slot];
+    // Release the callback's resources now, but keep the slot
+    // occupied until its heap entry surfaces (see Slot).
+    ++s.generation;
     s.callback = nullptr;
-    s.control.reset();
     if (!names_.empty())
         names_.erase(s.seq);
     --liveEvents_;
@@ -187,10 +189,8 @@ EventQueue::runOne()
     Slot &s = slab_[top.slot];
     POLCA_DCHECK(static_cast<bool>(s.callback),
                  "runOne popped a dead slot after skipDead");
-    if (s.control) {
-        s.control->done = true;
-        s.control.reset();
-    }
+    // Handles stop being pending before the callback runs.
+    ++s.generation;
     if (!names_.empty())
         names_.erase(top.seq);
     // Move the callback out before freeing the slot so re-entrant
@@ -250,17 +250,18 @@ EventQueue::beginRestore(const EventQueueState &state)
                 " which is behind now=", now_);
     // Discard everything the freshly-built world scheduled; the
     // components re-arm their own pending events with the saved
-    // (when, seq) pairs.
-    for (const HeapEntry &entry : heap_) {
-        Slot &s = slab_[entry.slot];
-        if (s.control) {
-            s.control->done = true;
-            s.control.reset();
-        }
-    }
+    // (when, seq) pairs.  Slots are kept and their generations
+    // bumped, so no handle to a discarded event can match the
+    // re-armed event that reuses its slot (and possibly its seq).
     heap_.clear();
-    slab_.clear();
     freeHead_ = kNoSlot;
+    for (std::size_t i = slab_.size(); i-- > 0;) {
+        Slot &s = slab_[i];
+        s.callback = nullptr;
+        ++s.generation;
+        s.nextFree = freeHead_;
+        freeHead_ = static_cast<std::uint32_t>(i);
+    }
     names_.clear();
     now_ = state.now;
     nextSeq_ = state.nextSeq;
@@ -304,12 +305,7 @@ EventQueue::rearmSchedule(Tick when, std::uint64_t seq,
                           Callback callback, std::string name)
 {
     std::uint32_t slot = rearm(when, seq, callback, name);
-    auto control = std::make_shared<Handle::Control>();
-    control->slot = slot;
-    control->when = when;
-    control->seq = seq;
-    slab_[slot].control = control;
-    return Handle(std::move(control));
+    return Handle(this, slot, slab_[slot].generation, when, seq);
 }
 
 void

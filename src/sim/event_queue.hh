@@ -9,17 +9,22 @@
  * Two scheduling paths share one time-ordered heap:
  *
  *  - schedule()/scheduleAfter() return a Handle that can cancel the
- *    event; the handle's control block is the only per-event heap
- *    allocation.
- *  - post()/postAfter() are the fire-and-forget fast path: no handle,
- *    no control block, no allocation beyond the callback itself.
+ *    event.  A handle is a plain value (queue, slot, generation,
+ *    when, seq): scheduling allocates nothing per event beyond the
+ *    callback itself.
+ *  - post()/postAfter() are the fire-and-forget path: no handle.
  *    Components that never cancel (arrival chains, fault triggers,
  *    one-shot command completions) should prefer it.
  *
  * Internally events live in a slab with a free list; the heap itself
  * orders small POD entries (when, seq, slot), so sift operations never
- * chase pointers.  The optional diagnostic name is kept out of the hot
- * record entirely: names are recorded in a side table only while
+ * chase pointers.  Each slot carries a generation that firing,
+ * cancel() and beginRestore() bump, so a handle is pending exactly
+ * while its generation matches its slot's: a handle to a fired,
+ * cancelled or discarded event stays inert after its slot is
+ * recycled.  A handle must not be used after its queue is destroyed.
+ * The optional diagnostic name is kept out of the hot record
+ * entirely: names are recorded in a side table only while
  * setNameTracing(true) is active.
  *
  * Scheduling in the past (when < now()) or with a negative delay is
@@ -46,7 +51,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -80,8 +84,9 @@ class EventQueue
     /**
      * Opaque handle to a scheduled event.  Default-constructed handles
      * are inert; cancel() on an already-fired or cancelled handle is a
-     * no-op.  Handles stay valid (inert) after their event fires and
-     * after the queue itself is destroyed.
+     * no-op.  Handles stay valid (inert) after their event fires,
+     * after it is cancelled and after beginRestore() discards it, but
+     * not after the queue itself is destroyed.
      */
     class Handle
     {
@@ -89,42 +94,36 @@ class EventQueue
         Handle() = default;
 
         /** @return true if the event has neither fired nor been
-         *  cancelled. */
-        bool pending() const { return control_ && !control_->done; }
+         *  cancelled (false inside the event's own callback). */
+        bool pending() const
+        {
+            return queue_ &&
+                queue_->slab_[slot_].generation == generation_;
+        }
 
         /** Firing time of the pending event (snapshot support;
          *  meaningless unless pending()). */
-        Tick when() const { return control_ ? control_->when : 0; }
+        Tick when() const { return when_; }
 
         /** Sequence number of the pending event — the tie-break
          *  identity a re-arm must reuse (see EventQueueState). */
-        std::uint64_t seq() const
-        {
-            return control_ ? control_->seq : 0;
-        }
+        std::uint64_t seq() const { return seq_; }
 
       private:
         friend class EventQueue;
 
-        /** Shared between the queue's slab slot and any handles;
-         *  severed (done = true) when the event fires or is
-         *  cancelled, which also makes stale handles inert once the
-         *  slot is recycled. */
-        struct Control
-        {
-            std::uint32_t slot = 0;
-            bool done = false;
-            Tick when = 0;
-            std::uint64_t seq = 0;
-        };
-
-        // Handles are the cold cancellation path, not the per-event
-        // hot path (posts carry no control block at all).
-        explicit Handle(std::shared_ptr<Control> control)  // polca-lint: allow(sim-shared-ptr)
-            : control_(std::move(control))
+        Handle(const EventQueue *queue, std::uint32_t slot,
+               std::uint64_t generation, Tick when, std::uint64_t seq)
+            : queue_(queue), slot_(slot), generation_(generation),
+              when_(when), seq_(seq)
         {}
 
-        std::shared_ptr<Control> control_;  // polca-lint: allow(sim-shared-ptr)
+        const EventQueue *queue_ = nullptr;
+        std::uint32_t slot_ = 0;
+        /** The slot's generation when the event was scheduled. */
+        std::uint64_t generation_ = 0;
+        Tick when_ = 0;
+        std::uint64_t seq_ = 0;
     };
 
     EventQueue() = default;
@@ -150,9 +149,9 @@ class EventQueue
                                        std::string name = {});
 
     /**
-     * Fire-and-forget fast path: schedule a callback at absolute tick
-     * @p when with no handle and no control-block allocation.  Same
-     * validation as schedule(): the past and empty callbacks panic.
+     * Fire-and-forget: schedule a callback at absolute tick @p when
+     * with no handle.  Same validation as schedule(): the past and
+     * empty callbacks panic.
      * @return the event's sequence number (components that snapshot
      *         a pending post save it for the re-arm).
      */
@@ -163,8 +162,10 @@ class EventQueue
     std::uint64_t postAfter(Tick delay, Callback callback,
                             std::string name = {});
 
-    /** Cancel a pending event; no-op if already fired or cancelled. */
-    void cancel(Handle &handle);
+    /** Cancel a pending event; no-op if already fired or cancelled.
+     *  @p handle must come from this queue (or be default-constructed):
+     *  another queue's handle panics. */
+    void cancel(const Handle &handle);
 
     /** Pre-size the heap and slab for @p n simultaneous live events
      *  (optional; the queue grows on demand either way). */
@@ -226,7 +227,8 @@ class EventQueue
 
     /**
      * Open a restore: discard every pending event (their handles
-     * become inert) and adopt @p state's time and counters.  Until
+     * become inert, also once a re-armed event reuses their slot and
+     * seq) and adopt @p state's time and counters.  Until
      * endRestore(), only rearmSchedule()/rearmPost() may add events.
      */
     void beginRestore(const EventQueueState &state);
@@ -269,8 +271,11 @@ class EventQueue
     struct Slot
     {
         Callback callback;
-        std::shared_ptr<Handle::Control> control;  ///< null for posts  // polca-lint: allow(sim-shared-ptr)
         std::uint64_t seq = 0;
+        /** Bumped whenever the slot's event fires, is cancelled or is
+         *  discarded by beginRestore(); never reset (the slab never
+         *  shrinks), so no stale handle can match a later event. */
+        std::uint64_t generation = 0;
         std::uint32_t nextFree = kNoSlot;
     };
 

@@ -164,19 +164,20 @@ TEST(EventQueueDeath, SchedulingInPastPanics)
     EventQueue queue;
     std::ignore = queue.schedule(10, [] {});
     queue.runAll();
-    EXPECT_DEATH(queue.schedule(5, [] {}), "in the past");
+    EXPECT_DEATH(std::ignore = queue.schedule(5, [] {}), "in the past");
 }
 
 TEST(EventQueueDeath, NegativeDelayPanics)
 {
     EventQueue queue;
-    EXPECT_DEATH(queue.scheduleAfter(-1, [] {}), "negative delay");
+    EXPECT_DEATH(std::ignore = queue.scheduleAfter(-1, [] {}),
+                 "negative delay");
 }
 
 TEST(EventQueueDeath, EmptyCallbackPanics)
 {
     EventQueue queue;
-    EXPECT_DEATH(queue.schedule(1, EventQueue::Callback{}),
+    EXPECT_DEATH(std::ignore = queue.schedule(1, EventQueue::Callback{}),
                  "empty callback");
 }
 
@@ -250,6 +251,60 @@ TEST(EventQueue, StaleHandleCancelDoesNotKillRecycledSlot)
     EXPECT_TRUE(b.pending());
     queue.runAll();
     EXPECT_TRUE(bFired);
+}
+
+TEST(EventQueue, HandleFromBeforeRestoreStaysInertAfterRearmReusesIt)
+{
+    EventQueue queue;
+    auto old = queue.schedule(10, [] {});
+    EventQueueState state = queue.captureState();
+
+    // The slab has one slot, so the re-armed event takes the
+    // discarded event's slot, and it reuses the discarded seq.
+    queue.beginRestore(state);
+    EXPECT_FALSE(old.pending());
+    bool fired = false;
+    auto rearmed = queue.rearmSchedule(old.when(), old.seq(),
+                                       [&] { fired = true; });
+    queue.endRestore(1);
+    EXPECT_EQ(rearmed.seq(), old.seq());
+    EXPECT_TRUE(rearmed.pending());
+    EXPECT_FALSE(old.pending());
+
+    queue.cancel(old);  // must not cancel the re-armed event
+    EXPECT_TRUE(rearmed.pending());
+    EXPECT_EQ(queue.size(), 1u);
+    queue.runAll();
+    EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, HandleIsNotPendingInsideItsOwnCallback)
+{
+    EventQueue queue;
+    EventQueue::Handle handle;
+    bool pendingInside = true;
+    std::size_t liveInside = 0;
+    handle = queue.schedule(10, [&] {
+        pendingInside = handle.pending();
+        queue.cancel(handle);  // no-op: the event is firing
+        liveInside = queue.size();
+    });
+    std::ignore = queue.schedule(20, [] {});
+    queue.runUntil(10);
+    EXPECT_FALSE(pendingInside);
+    EXPECT_EQ(liveInside, 1u);
+    EXPECT_EQ(queue.size(), 1u);
+}
+
+TEST(EventQueueDeath, CancelWithAnotherQueuesHandlePanics)
+{
+    EventQueue mine;
+    EventQueue other;
+    auto foreign = other.schedule(10, [] {});
+    std::ignore = mine.schedule(10, [] {});
+    // Both events sit in slot 0 of their queue: without the check,
+    // the foreign handle would cancel the event queued in `mine`.
+    EXPECT_DEATH(mine.cancel(foreign), "another event queue");
 }
 
 TEST(EventQueue, CancelledSlotIsRecycledAfterPop)

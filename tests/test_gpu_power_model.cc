@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include "power/gpu_power_model.hh"
 
 using namespace polca::power;
@@ -19,6 +25,26 @@ constexpr GpuActivity promptActivity{1.05, 0.5};
 
 /** Token-like activity: low compute, high memory. */
 constexpr GpuActivity tokenActivity{0.35, 0.9};
+
+/** The power formula without any memo: the reference the memoized
+ *  clock terms must reproduce bit for bit. */
+double
+unmemoizedPowerAtClock(const GpuSpec &spec, const GpuActivity &activity,
+                       double mhz)
+{
+    double ratio = std::clamp(mhz / spec.maxSmClockMhz, 0.0, 1.0);
+    double compute = activity.compute * spec.computeDynWatts *
+        std::pow(ratio, spec.computeClockExponent);
+    double memory = activity.memory * spec.memoryDynWatts *
+        std::pow(ratio, spec.memoryClockExponent);
+    return spec.idleWatts + compute + memory;
+}
+
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
 
 } // namespace
 
@@ -56,6 +82,66 @@ TEST(GpuPowerModel, TokenActivityWellBelowTdp)
     double ratio = gpu.powerWatts() / gpu.spec().tdpWatts;
     EXPECT_GT(ratio, 0.5);
     EXPECT_LT(ratio, 0.8);
+}
+
+TEST(GpuPowerModel, MemoizedClockTermsMatchFreshEvaluation)
+{
+    GpuPowerModel gpu = a100();
+    const GpuSpec &spec = gpu.spec();
+    // Reads at the effective clock, with what-if reads at other
+    // clocks (below min, legal, above max) interleaved so the memo
+    // is evicted and refilled between them.
+    auto expectFresh = [&](const std::string &step) {
+        SCOPED_TRACE(step);
+        double clock = gpu.effectiveClockMhz();
+        double fresh =
+            unmemoizedPowerAtClock(spec, gpu.activity(), clock);
+        EXPECT_EQ(bits(gpu.powerWatts()), bits(fresh));
+        for (double whatIf : {100.0, 900.0, 1100.0, clock, 1500.0}) {
+            EXPECT_EQ(bits(gpu.powerAtClock(whatIf)),
+                      bits(unmemoizedPowerAtClock(
+                          spec, gpu.activity(), whatIf)))
+                << whatIf << " MHz";
+            EXPECT_EQ(bits(gpu.powerWatts()), bits(fresh));
+        }
+    };
+
+    gpu.setActivity(promptActivity);
+    expectFresh("max clock");
+    gpu.lockClock(1100.0);
+    expectFresh("locked");
+    gpu.setActivity(tokenActivity);
+    expectFresh("locked, token activity");
+    gpu.unlockClock();
+    expectFresh("unlocked");
+    gpu.setPowerBrake(true);
+    expectFresh("brake");
+    gpu.setPowerBrake(false);
+    expectFresh("brake released");
+
+    // The cap controller moves the clock every step: throttle under
+    // a prompt, then recover under a token phase.
+    gpu.setActivity(promptActivity);
+    gpu.setPowerCap(300.0);
+    for (int i = 0; i < 30; ++i) {
+        gpu.stepCapController();
+        expectFresh("throttle step " + std::to_string(i));
+    }
+    gpu.setActivity(tokenActivity);
+    for (int i = 0; i < 30; ++i) {
+        gpu.stepCapController();
+        expectFresh("recovery step " + std::to_string(i));
+    }
+    gpu.clearPowerCap();
+    expectFresh("cap cleared");
+
+    // A copy carries the memo with the knobs it was computed for.
+    GpuPowerModel copy = gpu;
+    copy.lockClock(900.0);
+    EXPECT_EQ(bits(copy.powerWatts()),
+              bits(unmemoizedPowerAtClock(spec, copy.activity(),
+                                          copy.effectiveClockMhz())));
+    expectFresh("original after the copy moved");
 }
 
 TEST(GpuPowerModel, PowerMonotonicInActivity)

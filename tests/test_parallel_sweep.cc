@@ -189,23 +189,133 @@ warmupConfig(core::PolicyConfig policy)
     return config;
 }
 
+void
+expectSameLatency(const core::LatencyStats &a, const core::LatencyStats &b)
+{
+    EXPECT_EQ(a.p50, b.p50);
+    EXPECT_EQ(a.p99, b.p99);
+    EXPECT_EQ(a.max, b.max);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.count, b.count);
+}
+
+void
+expectSameSeries(const sim::TimeSeries &a, const sim::TimeSeries &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a.at(i).time, b.at(i).time);
+        EXPECT_EQ(a.at(i).value, b.at(i).value);
+    }
+}
+
+/** Every field of two results; doubles must be equal, not close. */
+void
+expectSameResult(const core::ExperimentResult &a,
+                 const core::ExperimentResult &b)
+{
+    expectSameLatency(a.low, b.low);
+    expectSameLatency(a.high, b.high);
+    EXPECT_EQ(a.lowThroughput, b.lowThroughput);
+    EXPECT_EQ(a.highThroughput, b.highThroughput);
+    EXPECT_EQ(a.lowArrivals, b.lowArrivals);
+    EXPECT_EQ(a.highArrivals, b.highArrivals);
+    EXPECT_EQ(a.lowCompletions, b.lowCompletions);
+    EXPECT_EQ(a.highCompletions, b.highCompletions);
+    EXPECT_EQ(a.powerBrakeEvents, b.powerBrakeEvents);
+    EXPECT_EQ(a.capCommands, b.capCommands);
+    EXPECT_EQ(a.uncapCommands, b.uncapCommands);
+    EXPECT_EQ(a.reissuedCommands, b.reissuedCommands);
+    EXPECT_EQ(a.maxUtilization, b.maxUtilization);
+    EXPECT_EQ(a.meanUtilization, b.meanUtilization);
+    EXPECT_EQ(a.breakerTrips, b.breakerTrips);
+    EXPECT_EQ(a.breakerNearTrips, b.breakerNearTrips);
+    EXPECT_EQ(a.firstBreakerTrip, b.firstBreakerTrip);
+    EXPECT_EQ(a.ticksAboveProvisioned, b.ticksAboveProvisioned);
+    EXPECT_EQ(a.overdrawWattSeconds, b.overdrawWattSeconds);
+    EXPECT_EQ(a.longestOverLimitStreak, b.longestOverLimitStreak);
+    EXPECT_EQ(a.failSafeEntries, b.failSafeEntries);
+    EXPECT_EQ(a.failSafeTicks, b.failSafeTicks);
+    EXPECT_EQ(a.flaggedChannels, b.flaggedChannels);
+    EXPECT_EQ(a.droppedReadings, b.droppedReadings);
+    EXPECT_EQ(a.corruptedReadings, b.corruptedReadings);
+    EXPECT_EQ(a.crashesInjected, b.crashesInjected);
+    EXPECT_EQ(a.droppedRequests, b.droppedRequests);
+    EXPECT_EQ(a.controllerCrashes, b.controllerCrashes);
+    EXPECT_EQ(a.controllerRecoveries, b.controllerRecoveries);
+    EXPECT_EQ(a.controllerDownTicks, b.controllerDownTicks);
+    EXPECT_EQ(a.mttrTotalTicks, b.mttrTotalTicks);
+    EXPECT_EQ(a.mttrMaxTicks, b.mttrMaxTicks);
+    EXPECT_EQ(a.timeToFailSafeMaxTicks, b.timeToFailSafeMaxTicks);
+    EXPECT_EQ(a.capsHeldStaleTicks, b.capsHeldStaleTicks);
+    EXPECT_EQ(a.staleTicks, b.staleTicks);
+    EXPECT_EQ(a.brakeTicks, b.brakeTicks);
+    EXPECT_EQ(a.modeTransitions, b.modeTransitions);
+    ASSERT_EQ(a.violations.size(), b.violations.size());
+    for (std::size_t i = 0; i < a.violations.size(); ++i) {
+        EXPECT_EQ(a.violations[i].invariant, b.violations[i].invariant);
+        EXPECT_EQ(a.violations[i].at, b.violations[i].at);
+        EXPECT_EQ(a.violations[i].value, b.violations[i].value);
+        EXPECT_EQ(a.violations[i].limit, b.violations[i].limit);
+    }
+    EXPECT_EQ(a.energyKwh, b.energyKwh);
+    EXPECT_EQ(a.energyPerRequestKj, b.energyPerRequestKj);
+    ASSERT_EQ(a.byWorkload.size(), b.byWorkload.size());
+    for (std::size_t i = 0; i < a.byWorkload.size(); ++i)
+        expectSameLatency(a.byWorkload[i], b.byWorkload[i]);
+    EXPECT_EQ(a.lpLockedTicks, b.lpLockedTicks);
+    EXPECT_EQ(a.hpLockedTicks, b.hpLockedTicks);
+    expectSameSeries(a.rowPowerSeries, b.rowPowerSeries);
+    ASSERT_EQ(a.domains.size(), b.domains.size());
+    for (std::size_t i = 0; i < a.domains.size(); ++i) {
+        const core::DomainStats &x = a.domains[i];
+        const core::DomainStats &y = b.domains[i];
+        EXPECT_EQ(x.path, y.path);
+        EXPECT_EQ(x.level, y.level);
+        EXPECT_EQ(x.servers, y.servers);
+        EXPECT_EQ(x.provisionedWatts, y.provisionedWatts);
+        EXPECT_EQ(x.budgetWatts, y.budgetWatts);
+        EXPECT_EQ(x.breakerLimitWatts, y.breakerLimitWatts);
+        EXPECT_EQ(x.peakWatts, y.peakWatts);
+        EXPECT_EQ(x.meanWatts, y.meanWatts);
+        EXPECT_EQ(x.breakerTrips, y.breakerTrips);
+        EXPECT_EQ(x.breakerNearTrips, y.breakerNearTrips);
+        EXPECT_EQ(x.overdrawWattSeconds, y.overdrawWattSeconds);
+        EXPECT_EQ(x.secondsAboveBudget, y.secondsAboveBudget);
+        EXPECT_EQ(x.completions, y.completions);
+        EXPECT_EQ(x.lowP99, y.lowP99);
+        EXPECT_EQ(x.highP99, y.highP99);
+        EXPECT_EQ(x.capCommands, y.capCommands);
+        EXPECT_EQ(x.powerBrakeEvents, y.powerBrakeEvents);
+        EXPECT_EQ(x.violations, y.violations);
+    }
+    ASSERT_EQ(a.domainPowerSeries.size(), b.domainPowerSeries.size());
+    for (std::size_t i = 0; i < a.domainPowerSeries.size(); ++i) {
+        EXPECT_EQ(a.domainPowerSeries[i].path,
+                  b.domainPowerSeries[i].path);
+        expectSameSeries(a.domainPowerSeries[i].series,
+                         b.domainPowerSeries[i].series);
+    }
+}
+
 /**
- * Run the points from @p makePoints twice — from scratch on one
- * worker, and branched from each shared warmup on four — and require
- * byte-identical artifacts and matching results.  Under TSan this is
- * also the race check for state that branches rebuild from the shared
- * snapshot on worker threads.
+ * Run the points from @p makePoints from scratch on one worker, then
+ * branched from each shared warmup on four workers and on one, and
+ * require byte-identical artifacts and equal results — every field
+ * of each member's baseline included, since a branched sweep runs
+ * one baseline per warmup group and copies it to the members.  The
+ * one-worker branched run must announce @p progress.  Under TSan
+ * this is also the race check for state that branches rebuild from
+ * the shared snapshot on worker threads.
  */
 void
 expectBranchedSweepMatchesFull(
     const std::function<std::vector<core::SweepPoint>()> &makePoints,
-    const std::string &stem)
+    const std::string &stem, const std::string &progress)
 {
     sim::QuietScope quiet(true);
     const std::string dirFull = stem + "_full";
-    const std::string dirBranch = stem + "_branch";
     std::filesystem::remove_all(dirFull);
-    std::filesystem::remove_all(dirBranch);
 
     core::SweepOptions full;
     full.artifactDir = dirFull;
@@ -213,41 +323,53 @@ expectBranchedSweepMatchesFull(
     full.echoProgress = false;
     full.jobs = 1;
     full.branch = false;
-
-    core::SweepOptions branched = full;
-    branched.artifactDir = dirBranch;
-    branched.jobs = 4;
-    branched.branch = true;
-
     core::SweepRunner fullRunner(makePoints(), full);
-    core::SweepRunner branchRunner(makePoints(), branched);
     const auto &fullResults = fullRunner.run();
-    const auto &branchResults = branchRunner.run();
-
     ASSERT_EQ(fullResults.size(), makePoints().size());
-    ASSERT_EQ(branchResults.size(), fullResults.size());
-    EXPECT_EQ(slurp(std::filesystem::path(dirFull) / "summary.csv"),
-              slurp(std::filesystem::path(dirBranch) /
-                    "summary.csv"));
-    for (std::size_t i = 0; i < fullResults.size(); ++i) {
-        const auto &a = fullResults[i];
-        const auto &b = branchResults[i];
-        EXPECT_EQ(a.label, b.label);
-        ASSERT_FALSE(a.artifactPath.empty());
-        EXPECT_EQ(slurp(a.artifactPath), slurp(b.artifactPath))
-            << a.artifactPath;
-        EXPECT_EQ(a.result.lowCompletions, b.result.lowCompletions);
-        EXPECT_DOUBLE_EQ(a.result.low.p99, b.result.low.p99);
-        EXPECT_DOUBLE_EQ(a.result.energyKwh, b.result.energyKwh);
-        EXPECT_DOUBLE_EQ(a.lowNorm.p99, b.lowNorm.p99);
-        EXPECT_DOUBLE_EQ(a.highNorm.p99, b.highNorm.p99);
-        EXPECT_EQ(a.baseline.lowCompletions,
-                  b.baseline.lowCompletions);
-        EXPECT_DOUBLE_EQ(a.baseline.low.p99, b.baseline.low.p99);
-    }
 
+    for (int jobs : {4, 1}) {
+        SCOPED_TRACE("branched, jobs = " + std::to_string(jobs));
+        const std::string dirBranch =
+            stem + "_branch_j" + std::to_string(jobs);
+        std::filesystem::remove_all(dirBranch);
+        core::SweepOptions branched = full;
+        branched.artifactDir = dirBranch;
+        branched.jobs = jobs;
+        branched.branch = true;
+        branched.echoProgress = jobs == 1;
+        core::SweepRunner branchRunner(makePoints(), branched);
+        if (jobs == 1)
+            testing::internal::CaptureStdout();
+        const auto &branchResults = branchRunner.run();
+        if (jobs == 1) {
+            EXPECT_NE(testing::internal::GetCapturedStdout().find(
+                          progress),
+                      std::string::npos)
+                << progress;
+        }
+
+        ASSERT_EQ(branchResults.size(), fullResults.size());
+        EXPECT_EQ(
+            slurp(std::filesystem::path(dirFull) / "summary.csv"),
+            slurp(std::filesystem::path(dirBranch) / "summary.csv"));
+        for (std::size_t i = 0; i < fullResults.size(); ++i) {
+            SCOPED_TRACE("point " + std::to_string(i));
+            const auto &a = fullResults[i];
+            const auto &b = branchResults[i];
+            EXPECT_EQ(a.label, b.label);
+            ASSERT_FALSE(a.artifactPath.empty());
+            EXPECT_EQ(slurp(a.artifactPath), slurp(b.artifactPath))
+                << a.artifactPath;
+            EXPECT_EQ(a.result.lowCompletions, b.result.lowCompletions);
+            EXPECT_DOUBLE_EQ(a.result.low.p99, b.result.low.p99);
+            EXPECT_DOUBLE_EQ(a.result.energyKwh, b.result.energyKwh);
+            EXPECT_DOUBLE_EQ(a.lowNorm.p99, b.lowNorm.p99);
+            EXPECT_DOUBLE_EQ(a.highNorm.p99, b.highNorm.p99);
+            expectSameResult(a.baseline, b.baseline);
+        }
+        std::filesystem::remove_all(dirBranch);
+    }
     std::filesystem::remove_all(dirFull);
-    std::filesystem::remove_all(dirBranch);
 }
 
 TEST(ParallelSweep, BranchedSweepIsByteIdenticalToFullSimulation)
@@ -265,7 +387,9 @@ TEST(ParallelSweep, BranchedSweepIsByteIdenticalToFullSimulation)
                  "shared-warmup"});
             return points;
         },
-        "parallel_sweep_test");
+        "parallel_sweep_test",
+        // One managed fork plus the group's one baseline.
+        "[sweep] branch: 1 warmup snapshot feeding 2 runs");
 }
 
 /** A 2 rows x 2 racks x 4 servers site sharing one warmup. */
@@ -309,7 +433,9 @@ TEST(ParallelSweep, BranchedSiteSweepIsByteIdenticalToFullSimulation)
                  "site-warmup"});
             return points;
         },
-        "parallel_site_sweep_test");
+        "parallel_site_sweep_test",
+        // Two managed forks plus the group's one baseline.
+        "[sweep] branch: 1 warmup snapshot feeding 3 runs");
 }
 
 TEST(ParallelSweep, SweepWarmupAndBranchKeysAreReservedNotAxes)

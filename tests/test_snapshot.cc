@@ -352,6 +352,46 @@ TEST(SnapshotExperiment, UnobservedBaselineBranchesFromObservedLeader)
                      branchedResult.energyKwh);
 }
 
+/** Capture @p base's warmup snapshot, then require that a branch
+ *  with another seed or another duration panics at restore instead
+ *  of running on the snapshot's world and trace. */
+void
+expectMismatchedBranchPanics(const core::ExperimentConfig &base)
+{
+    sim::QuietScope quiet(true);
+    core::ExperimentConfig leader = base;
+    std::shared_ptr<const core::WarmupSnapshot> snapshot;
+    leader.onWarmupSnapshot =
+        [&snapshot](std::shared_ptr<const core::WarmupSnapshot> s) {
+            snapshot = std::move(s);
+        };
+    (void)runOversubExperiment(leader);
+    ASSERT_TRUE(snapshot);
+    EXPECT_EQ(snapshot->seed, base.seed);
+    EXPECT_EQ(snapshot->duration, base.duration);
+
+    core::ExperimentConfig otherSeed = base;
+    otherSeed.seed += 1;
+    otherSeed.resumeFrom = snapshot;
+    EXPECT_DEATH((void)runOversubExperiment(otherSeed), "seed");
+
+    core::ExperimentConfig otherDuration = base;
+    otherDuration.duration += sim::secondsToTicks(60);
+    otherDuration.resumeFrom = snapshot;
+    EXPECT_DEATH((void)runOversubExperiment(otherDuration),
+                 "duration");
+}
+
+TEST(SnapshotExperimentDeath, RowBranchWithAnotherSeedOrDurationPanics)
+{
+    expectMismatchedBranchPanics(warmRowConfig());
+}
+
+TEST(SnapshotExperimentDeath, SiteBranchWithAnotherSeedOrDurationPanics)
+{
+    expectMismatchedBranchPanics(warmSiteConfig());
+}
+
 TEST(SnapshotExperiment, ValidateWarmupConfigRejectsConflicts)
 {
     core::ExperimentConfig config = warmRowConfig();
