@@ -50,6 +50,7 @@ PowerDomain::addChild(Options options)
         sim::fatal("PowerDomain: leaf '", path(), "' cannot have children");
     children_.push_back(std::make_unique<PowerDomain>(
         Internal{}, sim_, std::move(options), this));
+    children_.back()->slot_ = children_.size() - 1;
     return *children_.back();
 }
 
@@ -111,11 +112,12 @@ PowerDomain::finalize()
                     [](const std::unique_ptr<PowerDomain> &child) {
                         return child->server_ || child->cached_;
                     });
+    if (cached_) {
+        childWatts_.assign(children_.size(), 0.0);
+        childChanged_.assign(children_.size(), 1);
+    }
     if (manager_) {
-        for (auto &child : children_) {
-            PowerDomain *raw = child.get();
-            manager_->addSource([raw] { return raw->powerWatts(); });
-        }
+        manager_->addSource([this] { return powerWatts(); });
         manager_->start();
     }
     if (breaker_)
@@ -184,7 +186,15 @@ PowerDomain::powerWatts() const
     if (!cached_)
         return sumChildren();
     if (stale_) {
-        cachedWatts_ = sumChildren();
+        double total = 0.0;
+        for (std::size_t i = 0; i < children_.size(); ++i) {
+            if (childChanged_[i]) {
+                childWatts_[i] = children_[i]->powerWatts();
+                childChanged_[i] = 0;
+            }
+            total += childWatts_[i];
+        }
+        cachedWatts_ = total;
         stale_ = false;
     }
     POLCA_DCHECK(core::bitwiseEqual(cachedWatts_, walkWatts()),
@@ -219,9 +229,14 @@ PowerDomain::sumChildren() const
 void
 PowerDomain::markAncestorsStale()
 {
-    for (PowerDomain *node = parent_; node && !node->stale_;
-         node = node->parent_)
+    const PowerDomain *child = this;
+    for (PowerDomain *node = parent_; node && node->cached_;
+         child = node, node = node->parent_) {
+        node->childChanged_[child->slot_] = 1;
+        if (node->stale_)
+            return;
         node->stale_ = true;
+    }
 }
 
 double

@@ -19,13 +19,16 @@
  * and a datacenter is a site-level domain of such rows.
  *
  * Sums are computed once per change, not once per read: every server
- * leaf reports its draw changes, which mark the cached sums of its
- * ancestors stale, and a read re-sums only the stale nodes beneath it
- * (see DESIGN.md, "Power accounting").
+ * leaf reports its draw changes, which flag the leaf's slot in its
+ * parent and mark the cached sums of its ancestors stale.  A read
+ * re-sums only the stale nodes beneath it, and each re-sum re-reads
+ * only the children whose slots are flagged (see DESIGN.md, "Power
+ * accounting").
  */
 
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -52,8 +55,9 @@ const char *toString(DomainLevel level);
 /**
  * One node of the power-domain tree.  Domains own their children;
  * build the tree root-down with addChild()/addServer()/addLeaf(),
- * then finalize() the root once to wire each non-leaf manager to its
- * children (one power source per child, in child order — so a
+ * then finalize() the root once to wire each non-leaf manager to the
+ * node's own powerWatts() (one source, so a manager, a breaker and an
+ * energy meter on one node share one re-sum per instant, and a
  * parent's reading is bit-for-bit the left-to-right sum of its
  * children's readings) and start every manager and armed breaker.
  */
@@ -170,8 +174,9 @@ class PowerDomain
     /** Instantaneous subtree draw, watts.  Computed child by child,
      *  so a parent's value is exactly the left-to-right sum of its
      *  children's values at the same instant.  Interior nodes whose
-     *  leaves are all servers cache the sum and re-sum only after a
-     *  leaf below reported a change. */
+     *  leaves are all servers cache the sum and each child's last
+     *  draw, and re-sum only after a leaf below reported a change,
+     *  re-reading only the children on a reporting leaf's path. */
     double powerWatts() const;
 
     /** Nameplate provisioned power: the sum of leaf budgets. */
@@ -222,13 +227,17 @@ class PowerDomain
      *  reference the cached sums are cross-checked against. */
     double walkWatts() const;
 
-    /** Mark the cached sums above this node stale, up to the first
-     *  ancestor that already is (its ancestors are stale too). */
+    /** Report a change of this node's draw: flag its slot in the
+     *  parent and mark the parent stale, and so on upward, stopping
+     *  after the first ancestor that already was stale (the slots
+     *  above it are flagged already). */
     void markAncestorsStale();
 
     sim::Simulation &sim_;
     Options options_;
     PowerDomain *parent_ = nullptr;
+    /** Index of this node in its parent's children_ and slots. */
+    std::size_t slot_ = 0;
     std::vector<std::unique_ptr<PowerDomain>> children_;
 
     /** Exactly one of server_/supply_ is set on leaves. */
@@ -240,11 +249,15 @@ class PowerDomain
      *  interior nodes whose every leaf is a server (an arbitrary
      *  PowerSource cannot report its changes). */
     bool cached_ = false;
-    /** Cached sum is out of date.  Stays true on uncached nodes, so
-     *  markAncestorsStale() stops there.  Invariant: a stale node's
-     *  parent is stale. */
+    /** Cached sum is out of date (cached nodes only).  Invariant: a
+     *  stale node's parent is stale and has the node's slot flagged. */
     mutable bool stale_ = true;
     mutable double cachedWatts_ = 0.0;
+    /** Cached nodes only, one slot per child in child order: the
+     *  draw last read from the child, and whether the child changed
+     *  since (set by markAncestorsStale(), cleared by a re-sum). */
+    mutable std::vector<double> childWatts_;
+    mutable std::vector<unsigned char> childChanged_;
 
     std::unique_ptr<telemetry::DomainManager> manager_;
     std::unique_ptr<telemetry::BreakerModel> breaker_;

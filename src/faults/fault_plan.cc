@@ -35,8 +35,12 @@ namespace {
 std::string
 windowText(sim::Tick start, sim::Tick duration)
 {
-    return "[" + std::to_string(start) + ", +" +
-        std::to_string(duration) + ")";
+    std::string text = "[";
+    text += std::to_string(start);
+    text += ", +";
+    text += std::to_string(duration);
+    text += ")";
+    return text;
 }
 
 void

@@ -147,7 +147,8 @@ class Doc
         md_ += "\n";
         md_.append(static_cast<std::size_t>(level), '#');
         md_ += " " + text + "\n\n";
-        std::string tag = "h" + std::to_string(level);
+        std::string tag = "h";
+        tag += std::to_string(level);
         html_ += "<" + tag + ">" + htmlEscape(text) + "</" + tag +
             ">\n";
     }

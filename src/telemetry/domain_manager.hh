@@ -5,9 +5,10 @@
  * 2 s row telemetry (Table 1) that POLCA caps from, because the row
  * is where statistical multiplexing of prompt/token phases pays off
  * (Insight 9).  The same machinery aggregates racks, rows, and whole
- * sites: every non-leaf cluster::PowerDomain owns a DomainManager
- * whose sources are its children, so readings roll up the tree with
- * each level sampling on its own cadence.
+ * sites: a non-leaf cluster::PowerDomain with a telemetry interval
+ * owns a DomainManager whose one source is the domain's own reading
+ * (the left-to-right sum of its children's), so readings roll up the
+ * tree with each level sampling on its own cadence.
  */
 
 #pragma once
@@ -81,8 +82,8 @@ class DomainManager
     void attachDomainObservability(obs::Observability *obs,
                                    const std::string &path);
 
-    /** Register a power source (e.g. one server's draw, or a child
-     *  domain's rolled-up draw). */
+    /** Register a power source (e.g. the owning domain's rolled-up
+     *  draw); a reading is the left-to-right sum of the sources. */
     void addSource(PowerSource source);
 
     /** Register a reading listener (e.g. the POLCA manager). */

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,23 +200,28 @@ request()
 }
 
 /** site -> {row r0 -> {rack k0: servers 0, 1; rack k1: server 2},
- *  row r1: server 3}, all real InferenceServers. */
+ *  row r1: server 3}, all real InferenceServers.  A non-zero
+ *  @p interval gives every interior node a manager. */
 struct ServerTree
 {
-    ServerTree()
+    explicit ServerTree(Tick interval = 0)
+        : site(sim, domain("site", DomainLevel::Site, 0.0, interval))
     {
-        PowerDomain &row0 = site.addChild(domain("r0", DomainLevel::Row));
-        PowerDomain &rack0 =
-            row0.addChild(domain("k0", DomainLevel::Rack));
-        PowerDomain &rack1 =
-            row0.addChild(domain("k1", DomainLevel::Rack));
-        PowerDomain &row1 = site.addChild(domain("r1", DomainLevel::Row));
+        PowerDomain &row0 = site.addChild(
+            domain("r0", DomainLevel::Row, 0.0, interval));
+        PowerDomain &rack0 = row0.addChild(
+            domain("k0", DomainLevel::Rack, 0.0, interval));
+        PowerDomain &rack1 = row0.addChild(
+            domain("k1", DomainLevel::Rack, 0.0, interval));
+        PowerDomain &row1 = site.addChild(
+            domain("r1", DomainLevel::Row, 0.0, interval));
         target = &rack0.addServer(makeServer(sim, catalog, 0), 6500.0);
         rack0.addServer(makeServer(sim, catalog, 1), 6500.0);
         rack1.addServer(makeServer(sim, catalog, 2), 6500.0);
         row1.addServer(makeServer(sim, catalog, 3), 6500.0);
         site.finalize();
         ancestors = {&rack0, &row0, &site};
+        servers = site.servers();
     }
 
     std::vector<double>
@@ -229,11 +235,23 @@ struct ServerTree
 
     Simulation sim;
     polca::llm::ModelCatalog catalog;
-    PowerDomain site{sim, domain("site", DomainLevel::Site)};
+    PowerDomain site;
     InferenceServer *target = nullptr;
     /** The target's ancestors, leaf to root. */
     std::vector<const PowerDomain *> ancestors;
+    /** Servers 0..3. */
+    std::vector<InferenceServer *> servers;
 };
+
+/** Left-to-right sum of @p node's children's readings. */
+double
+childOrderSum(const PowerDomain &node)
+{
+    double total = 0.0;
+    for (const auto &child : node.children())
+        total += child->powerWatts();
+    return total;
+}
 
 /** Every interior node reads bitwise the left-to-right sum of its
  *  children's readings. */
@@ -242,12 +260,9 @@ expectChildOrderSums(const PowerDomain &node)
 {
     if (node.isLeaf())
         return;
-    double total = 0.0;
-    for (const auto &child : node.children()) {
+    for (const auto &child : node.children())
         expectChildOrderSums(*child);
-        total += child->powerWatts();
-    }
-    EXPECT_EQ(node.powerWatts(), total) << node.path();
+    EXPECT_EQ(node.powerWatts(), childOrderSum(node)) << node.path();
 }
 
 } // namespace
@@ -310,4 +325,82 @@ TEST(PowerDomain, SourceLeafIsReadOnEveryRead)
     EXPECT_NE(servers.powerWatts(), row);
     EXPECT_NE(site.powerWatts(), before);
     expectChildOrderSums(site);
+}
+
+TEST(PowerDomain, SiblingChangesBetweenReadsAreAllSummed)
+{
+    // A leaf reporting under an ancestor that is stale already must
+    // still flag its own slot, and a node read on its own (as its
+    // manager reads it) must leave the flags above it for the next
+    // read there.
+    ServerTree t;
+    const PowerDomain &row0 = *t.site.children()[0];
+    const PowerDomain &rack0 = *row0.children()[0];
+    double last = t.site.powerWatts();
+    auto expectSiteMoved = [&t, &last] {
+        double now = t.site.powerWatts();
+        EXPECT_NE(now, last);
+        expectChildOrderSums(t.site);
+        last = now;
+    };
+
+    {
+        SCOPED_TRACE("two servers of rack k0, no read between them");
+        t.servers[0]->submit(request());
+        t.servers[1]->submit(request());
+        expectSiteMoved();
+    }
+    {
+        SCOPED_TRACE("rack k0 read alone, then a sibling changes");
+        t.servers[0]->applyClockLock(1110.0);
+        expectChildOrderSums(rack0);
+        t.servers[1]->applyClockLock(1110.0);
+        expectSiteMoved();
+    }
+    {
+        SCOPED_TRACE("rack k1 and row r1 change, row r0 read alone");
+        t.servers[2]->submit(request());
+        t.servers[3]->submit(request());
+        expectChildOrderSums(row0);
+        expectSiteMoved();
+    }
+}
+
+TEST(PowerDomain, ManagerReadingIsChildOrderSumAtEveryReading)
+{
+    // Each manager reads its node's own (cached) sum.  Requests of
+    // varied length and clock locks keep the draws moving between
+    // readings, and move different servers between any two of them.
+    ServerTree t(secondsToTicks(2));
+    int delivered = 0;
+    std::vector<double> siteReadings;
+    t.site.visit([&](PowerDomain &node) {
+        if (!node.manager())
+            return;
+        const PowerDomain *raw = &node;
+        node.manager()->addListener([&, raw](Tick, double watts) {
+            EXPECT_EQ(watts, childOrderSum(*raw)) << raw->path();
+            if (raw == &t.site)
+                siteReadings.push_back(watts);
+            ++delivered;
+        });
+    });
+    int next = 0;
+    auto arrivals = t.sim.every(secondsToTicks(0.7), [&](Tick) {
+        InferenceServer *server =
+            t.servers[static_cast<std::size_t>(next % 4)];
+        server->applyClockLock(1110.0 + 30.0 * (next % 7));
+        polca::workload::Request r = request();
+        r.outputTokens = 16 + 24 * (next % 5);
+        ++next;
+        if (server->canAccept())
+            server->submit(r);
+    });
+
+    t.sim.runFor(secondsToTicks(60));
+    EXPECT_EQ(delivered, 5 * 30);
+    std::sort(siteReadings.begin(), siteReadings.end());
+    EXPECT_GT(std::unique(siteReadings.begin(), siteReadings.end()) -
+                  siteReadings.begin(),
+              10);
 }
