@@ -7,7 +7,7 @@
 #include "analysis/correlation.hh"
 #include "analysis/table.hh"
 #include "bench_common.hh"
-#include "cluster/row.hh"
+#include "cluster/topology.hh"
 #include "workload/trace_gen.hh"
 
 #include <algorithm>
@@ -29,13 +29,14 @@ main(int argc, char **argv)
     sim::Simulation sim(options.seed);
     cluster::RowConfig rowConfig;
     rowConfig.baseServers = 24;
-    cluster::Row row(sim, rowConfig, sim.rng().fork(1));
+    cluster::Site site(sim, rowConfig, sim.rng().fork(1));
+    cluster::Site::SiteRow &row = site.rows().front();
 
     // Silicon/assembly variability across the fleet ("Not All GPUs
     // Are Created Equal"): per-server power scale ~N(1, 0.03).
     {
         sim::Rng variability = sim.rng().fork(2);
-        for (cluster::InferenceServer *server : row.servers()) {
+        for (cluster::InferenceServer *server : row.domain->servers()) {
             double scale = std::clamp(
                 variability.normal(1.0, 0.03), 0.92, 1.10);
             server->setPowerScaleFactor(scale);
@@ -43,21 +44,21 @@ main(int argc, char **argv)
     }
 
     workload::TraceGenerator generator;
-    llm::PhaseModel phases(row.model());
+    llm::PhaseModel phases(row.model);
     workload::TraceGenOptions traceOptions;
     traceOptions.duration = options.horizon(0.08, 1.0);
-    traceOptions.numServers = row.numServers();
+    traceOptions.numServers = row.domain->numServers();
     traceOptions.serviceSecondsPerRequest =
         generator.expectedServiceSeconds(phases);
     traceOptions.seed = options.seed;
     workload::Trace trace = generator.generate(traceOptions);
-    row.dispatcher().injectTrace(trace);
+    row.dispatcher->injectTrace(trace);
 
     // Track per-server peaks with a periodic 1 s sampler.
-    std::size_t n = static_cast<std::size_t>(row.numServers());
+    std::size_t n = static_cast<std::size_t>(row.domain->numServers());
     std::vector<double> serverPeak(n, 0.0), gpuPeak(n, 0.0);
     std::vector<double> gpuShareAtPeak(n, 0.0);
-    auto servers = row.servers();
+    auto servers = row.domain->servers();
     auto sampler = sim.every(sim::secondsToTicks(1), [&](sim::Tick) {
         for (std::size_t i = 0; i < n; ++i) {
             double server = servers[i]->powerWatts();

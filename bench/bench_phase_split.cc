@@ -11,7 +11,7 @@
 #include "analysis/table.hh"
 #include "bench_common.hh"
 #include "cluster/phase_split.hh"
-#include "cluster/row.hh"
+#include "cluster/topology.hh"
 #include "sim/stats.hh"
 #include "workload/trace_gen.hh"
 
@@ -64,20 +64,21 @@ runCombined(const bench::BenchOptions &options,
     cluster::RowConfig rowConfig;
     rowConfig.baseServers = servers;
     rowConfig.lpServerFraction = 1.0;  // one pool; no POLCA here
-    cluster::Row row(sim, rowConfig, sim.rng().fork(1));
+    cluster::Site site(sim, rowConfig, sim.rng().fork(1));
+    cluster::Site::SiteRow &row = site.rows().front();
 
     sim::Sampler power;
     auto sampler = sim.every(sim::secondsToTicks(2), [&](sim::Tick) {
-        power.add(row.powerWatts());
+        power.add(row.domain->powerWatts());
     });
-    row.dispatcher().injectTrace(trace);
+    row.dispatcher->injectTrace(trace);
     sim.runUntil(trace.duration());
 
     const sim::Sampler &latency =
-        row.dispatcher().latencySeconds(workload::Priority::Low);
+        row.dispatcher->latencySeconds(workload::Priority::Low);
     return {power.max(), power.p99(), power.mean(), latency.p50(),
             latency.p99(),
-            row.dispatcher().completions(workload::Priority::Low)};
+            row.dispatcher->completions(workload::Priority::Low)};
 }
 
 Profile

@@ -7,7 +7,7 @@
 
 #include "analysis/table.hh"
 #include "bench_common.hh"
-#include "cluster/row.hh"
+#include "cluster/topology.hh"
 #include "cluster/training_cluster.hh"
 #include "llm/training_model.hh"
 #include "workload/trace_gen.hh"
@@ -60,23 +60,24 @@ inferenceCluster(const bench::BenchOptions &options)
     sim::Simulation sim(options.seed);
     cluster::RowConfig rowConfig;
     rowConfig.baseServers = 40;
-    rowConfig.recordPowerSeries = true;
-    cluster::Row row(sim, rowConfig, sim.rng().fork(1));
+    cluster::Site site(sim, rowConfig, sim.rng().fork(1),
+                       /*recordSeries=*/true);
+    cluster::Site::SiteRow &row = site.rows().front();
 
     workload::TraceGenerator generator;
-    llm::PhaseModel phases(row.model());
+    llm::PhaseModel phases(row.model);
     workload::TraceGenOptions traceOptions;
     traceOptions.duration = options.horizon(1.0, 7.0);
-    traceOptions.numServers = row.numServers();
+    traceOptions.numServers = row.domain->numServers();
     traceOptions.serviceSecondsPerRequest =
         generator.expectedServiceSeconds(phases);
     traceOptions.seed = options.seed;
     workload::Trace trace = generator.generate(traceOptions);
-    row.dispatcher().injectTrace(trace);
+    row.dispatcher->injectTrace(trace);
     sim.runUntil(traceOptions.duration);
 
-    const sim::TimeSeries &series = row.rowManager().series();
-    double provisioned = row.provisionedWatts();
+    const sim::TimeSeries &series = row.domain->manager()->series();
+    double provisioned = row.domain->budgetWatts();
     return {series.maxValue() / provisioned,
             series.maxRiseWithin(sim::secondsToTicks(2)) / provisioned,
             series.maxRiseWithin(sim::secondsToTicks(40)) /

@@ -9,7 +9,7 @@
 #include "analysis/error_metrics.hh"
 #include "analysis/table.hh"
 #include "bench_common.hh"
-#include "cluster/row.hh"
+#include "cluster/topology.hh"
 #include "workload/trace_gen.hh"
 
 #include <iostream>
@@ -24,11 +24,11 @@ simulatePower(const workload::Trace &trace, std::uint64_t seed)
     sim::Simulation sim(seed);
     cluster::RowConfig rowConfig;
     rowConfig.baseServers = 40;
-    rowConfig.recordPowerSeries = true;
-    cluster::Row row(sim, rowConfig, sim.rng().fork(1));
-    row.dispatcher().injectTrace(trace);
+    cluster::Site site(sim, rowConfig, sim.rng().fork(1),
+                       /*recordSeries=*/true);
+    site.rows().front().dispatcher->injectTrace(trace);
     sim.runUntil(trace.duration());
-    return row.rowManager().series();
+    return site.root().manager()->series();
 }
 
 } // namespace

@@ -14,9 +14,10 @@
  * versa.  Leaves wrap one InferenceServer (or, for tests, an
  * arbitrary power source).
  *
- * The flat Row/Datacenter layer is a thin view over this tree: a
- * legacy row is a row-level domain whose children are server leaves,
- * and a datacenter is a site-level domain of such rows.
+ * cluster::Site builds the trees the experiments run on: the paper's
+ * flat row is the one-row tree, a row-level root whose children are
+ * server leaves; a `[topology]` site nests racks under rows under a
+ * site root.
  *
  * Sums are computed once per change, not once per read: every server
  * leaf reports its draw changes, which flag the leaf's slot in its

@@ -1,5 +1,6 @@
 #include "cluster/topology.hh"
 
+#include <cmath>
 #include <unordered_set>
 
 #include "cluster/allocator.hh"
@@ -53,18 +54,35 @@ validGroupName(const std::string &name)
     return true;
 }
 
+/** Build server @p id with the row-scope knobs of @p shared, register
+ *  it with @p dispatcher, and adopt it as a leaf of @p parent. */
+void
+deployServer(sim::Simulation &sim, PowerDomain &parent,
+          Dispatcher &dispatcher, const power::ServerSpec &spec,
+          const llm::ModelSpec &model, workload::Priority pool, int id,
+          double provisionedWatts, const RowConfig &shared)
+{
+    auto server = std::make_unique<InferenceServer>(
+        sim, spec, model, pool, id, shared.bufferSize);
+    if (shared.phaseAwareTokenClockMhz > 0.0)
+        server->setPhaseAwareTokenClock(shared.phaseAwareTokenClockMhz);
+    if (shared.maxBatchSize > 1)
+        server->setMaxBatchSize(shared.maxBatchSize);
+    dispatcher.addServer(server.get());
+    parent.addServer(std::move(server), provisionedWatts);
+}
+
 } // namespace
 
 Site::Site(sim::Simulation &sim, const TopologyConfig &config,
-           const RowConfig &shared, sim::Rng rng)
-    : sim_(sim), config_(config)
+           const RowConfig &shared, sim::Rng rng, bool recordSeries)
 {
-    if (config_.groups.empty())
+    if (config.groups.empty())
         sim::fatal("topology: no row groups");
 
     std::unordered_set<std::string> names;
     double totalRowBudget = 0.0;
-    for (const TopologyRowGroup &group : config_.groups) {
+    for (const TopologyRowGroup &group : config.groups) {
         if (!validGroupName(group.name)) {
             sim::fatal("topology: group name '", group.name,
                        "' is not lowercase [a-z0-9_]");
@@ -76,7 +94,7 @@ Site::Site(sim::Simulation &sim, const TopologyConfig &config,
             sim::fatal("topology: non-positive count in group '",
                        group.name, "'");
         int serversPerRow = group.racksPerRow * group.serversPerRack;
-        totalRowBudget += group.rows * config_.rowBudgetFraction *
+        totalRowBudget += group.rows * config.rowBudgetFraction *
             group.provisionedPerServerWatts * serversPerRow;
     }
 
@@ -85,35 +103,34 @@ Site::Site(sim::Simulation &sim, const TopologyConfig &config,
     PowerDomain::Options siteOptions;
     siteOptions.name = "site";
     siteOptions.level = DomainLevel::Site;
-    siteOptions.budgetWatts = config_.siteBudgetFraction * totalRowBudget;
-    siteOptions.telemetryInterval = config_.telemetryInterval;
-    siteOptions.recordSeries = config_.recordSeries;
-    root_ = std::make_unique<PowerDomain>(sim_, siteOptions);
+    siteOptions.budgetWatts = config.siteBudgetFraction * totalRowBudget;
+    siteOptions.telemetryInterval = config.telemetryInterval;
+    siteOptions.recordSeries = recordSeries;
+    root_ = std::make_unique<PowerDomain>(sim, siteOptions);
 
-    for (const TopologyRowGroup &group : config_.groups) {
+    for (const TopologyRowGroup &group : config.groups) {
         power::ServerSpec spec = serverSpecForPreset(group.server);
         llm::ModelSpec model = catalog.byName(group.model);
         int serversPerRow = group.racksPerRow * group.serversPerRack;
-        double rowBudget = config_.rowBudgetFraction *
+        double rowBudget = config.rowBudgetFraction *
             group.provisionedPerServerWatts * serversPerRow;
 
         for (int r = 0; r < group.rows; ++r) {
             SiteRow siteRow;
             siteRow.name = group.name + std::to_string(r);
-            siteRow.group = &group;
             siteRow.model = model;
             // Path-keyed stream: depends only on (site seed, row
             // name), never on how many other rows exist.
             siteRow.rng = rng.forkPath(siteRow.name);
             siteRow.dispatcher = std::make_unique<Dispatcher>(
-                sim_, siteRow.rng.fork(0x0d15));
+                sim, siteRow.rng.fork(0x0d15));
 
             PowerDomain::Options rowOptions;
             rowOptions.name = siteRow.name;
             rowOptions.level = DomainLevel::Row;
             rowOptions.budgetWatts = rowBudget;
-            rowOptions.telemetryInterval = config_.telemetryInterval;
-            rowOptions.recordSeries = config_.recordSeries;
+            rowOptions.telemetryInterval = config.telemetryInterval;
+            rowOptions.recordSeries = recordSeries;
             PowerDomain &rowDomain = root_->addChild(rowOptions);
             siteRow.domain = &rowDomain;
 
@@ -125,56 +142,92 @@ Site::Site(sim::Simulation &sim, const TopologyConfig &config,
                 PowerDomain::Options rackOptions;
                 rackOptions.name = "rack" + std::to_string(k);
                 rackOptions.level = DomainLevel::Rack;
-                rackOptions.telemetryInterval =
-                    config_.telemetryInterval;
+                rackOptions.telemetryInterval = config.telemetryInterval;
                 PowerDomain &rack = rowDomain.addChild(rackOptions);
                 for (int s = 0; s < group.serversPerRack; ++s, ++id) {
-                    auto server = std::make_unique<InferenceServer>(
-                        sim_, spec, model,
-                        priorities[static_cast<std::size_t>(id)], id,
-                        shared.bufferSize);
-                    if (shared.phaseAwareTokenClockMhz > 0.0) {
-                        server->setPhaseAwareTokenClock(
-                            shared.phaseAwareTokenClockMhz);
-                    }
-                    if (shared.maxBatchSize > 1)
-                        server->setMaxBatchSize(shared.maxBatchSize);
-                    siteRow.dispatcher->addServer(server.get());
-                    rack.addServer(std::move(server),
-                                   group.provisionedPerServerWatts);
+                    deployServer(sim, rack, *siteRow.dispatcher, spec,
+                                 model,
+                                 priorities[static_cast<std::size_t>(id)],
+                                 id, group.provisionedPerServerWatts,
+                                 shared);
                 }
-                if (config_.rackBreakerLimitFraction > 0.0) {
+                if (config.rackBreakerLimitFraction > 0.0) {
                     telemetry::BreakerModel::Config breaker;
                     breaker.provisionedWatts =
                         group.provisionedPerServerWatts *
                         group.serversPerRack;
                     breaker.breakerLimitWatts =
                         breaker.provisionedWatts *
-                        config_.rackBreakerLimitFraction;
-                    breaker.tripDuration = config_.breakerTripDuration;
+                        config.rackBreakerLimitFraction;
+                    breaker.tripDuration = config.breakerTripDuration;
                     rack.armBreaker(breaker);
                 }
             }
-            if (config_.rowBreakerLimitFraction > 0.0) {
+            if (config.rowBreakerLimitFraction > 0.0) {
                 telemetry::BreakerModel::Config breaker;
                 breaker.provisionedWatts = rowBudget;
                 breaker.breakerLimitWatts =
-                    rowBudget * config_.rowBreakerLimitFraction;
-                breaker.tripDuration = config_.breakerTripDuration;
+                    rowBudget * config.rowBreakerLimitFraction;
+                breaker.tripDuration = config.breakerTripDuration;
                 rowDomain.armBreaker(breaker);
             }
             rows_.push_back(std::move(siteRow));
         }
     }
 
-    if (config_.siteBreakerLimitFraction > 0.0) {
+    if (config.siteBreakerLimitFraction > 0.0) {
         telemetry::BreakerModel::Config breaker;
         breaker.provisionedWatts = root_->budgetWatts();
         breaker.breakerLimitWatts =
-            root_->budgetWatts() * config_.siteBreakerLimitFraction;
-        breaker.tripDuration = config_.breakerTripDuration;
+            root_->budgetWatts() * config.siteBreakerLimitFraction;
+        breaker.tripDuration = config.breakerTripDuration;
         root_->armBreaker(breaker);
     }
+    root_->finalize();
+}
+
+Site::Site(sim::Simulation &sim, const RowConfig &row, sim::Rng rng,
+           bool recordSeries)
+{
+    if (row.baseServers <= 0)
+        sim::fatal("Row: non-positive base server count");
+    if (row.addedServerFraction < 0.0)
+        sim::fatal("Row: negative added-server fraction");
+
+    SiteRow siteRow;
+    siteRow.name = "row";
+    siteRow.model = row.modelOverride
+        ? *row.modelOverride
+        : llm::ModelCatalog().byName(row.modelName);
+    siteRow.rng = rng;
+
+    PowerDomain::Options options;
+    options.name = siteRow.name;
+    options.level = DomainLevel::Row;
+    options.budgetWatts = row.provisionedPerServerWatts * row.baseServers;
+    options.telemetryInterval = row.telemetryInterval;
+    options.recordSeries = recordSeries;
+    root_ = std::make_unique<PowerDomain>(sim, options);
+    siteRow.domain = root_.get();
+
+    siteRow.dispatcher =
+        std::make_unique<Dispatcher>(sim, siteRow.rng.fork(0x0d15));
+    if (row.telemetryDropoutProbability > 0.0) {
+        root_->manager()->setDropoutProbability(
+            row.telemetryDropoutProbability, siteRow.rng.fork(0xD80));
+    }
+
+    int total = row.baseServers + static_cast<int>(std::lround(
+        row.addedServerFraction * row.baseServers));
+    std::vector<workload::Priority> priorities =
+        allocatePriorities(total, row.lpServerFraction);
+    for (int i = 0; i < total; ++i) {
+        deployServer(sim, *root_, *siteRow.dispatcher, row.serverSpec,
+                     siteRow.model,
+                     priorities[static_cast<std::size_t>(i)], i,
+                     row.provisionedPerServerWatts, row);
+    }
+    rows_.push_back(std::move(siteRow));
     root_->finalize();
 }
 

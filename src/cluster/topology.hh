@@ -1,8 +1,11 @@
 /**
  * @file
- * Site builder: constructs a heterogeneous power-domain tree
- * (servers → racks → rows → site) from a declarative TopologyConfig,
- * the scenario layer's `[topology]` section.
+ * Site builder: constructs the power-domain tree an experiment runs
+ * on.  A declarative TopologyConfig (the scenario layer's
+ * `[topology]` section) builds a heterogeneous servers → racks →
+ * rows → site tree; a RowConfig (the `[row]` section) builds the
+ * paper's flat row (Figure 2, Table 2) as the one-row case, a tree
+ * whose root is the row with its servers directly beneath it.
  *
  * Row groups mix GPU generations and served models across the site
  * (Wilkins et al.: site power is the compositional rollup of
@@ -22,18 +25,75 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/dispatcher.hh"
 #include "cluster/power_domain.hh"
-#include "cluster/row.hh"
 #include "llm/model_spec.hh"
 #include "power/server_model.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 
 namespace polca::cluster {
+
+/**
+ * The flat `[row]` deployment: one row (PDU domain), the unit at
+ * which power is provisioned, measured, and oversubscribed.  Site
+ * row groups inherit its per-server knobs (buffer size, batching,
+ * phase-aware clock).
+ */
+struct RowConfig
+{
+    power::ServerSpec serverSpec = power::ServerSpec::dgxA100_80gb();
+
+    /** Model served by every endpoint (POLCA eval: BLOOM-176B). */
+    std::string modelName = "BLOOM-176B";
+
+    /** Full model spec to serve instead of looking @ref modelName up
+     *  in the catalog — lets scenario files tweak or define models
+     *  that are not Table 3 entries. */
+    std::optional<llm::ModelSpec> modelOverride;
+
+    /** Servers the row's power budget was provisioned for. */
+    int baseServers = 40;
+
+    /** Extra servers added via oversubscription (fraction of base;
+     *  0.30 = the paper's headline +30 %). */
+    double addedServerFraction = 0.0;
+
+    /** Fraction of servers placed in the low-priority pool. */
+    double lpServerFraction = 0.5;
+
+    /**
+     * Provisioned (budgeted) watts per base server.  The row budget
+     * is baseServers x this.  Defaults to a derated DGX-A100 budget
+     * (Section 5: observed peak ~5.7 kW rather than the 6.5 kW
+     * rating), which puts default-fleet peak utilization near the
+     * 79 % the paper reports for production inference rows (Table 4).
+     */
+    double provisionedPerServerWatts = 4950.0;
+
+    /** Row telemetry cadence (Table 1: 2 s). */
+    sim::Tick telemetryInterval = sim::secondsToTicks(2);
+
+    /** Per-server request buffer (Section 6.6: one). */
+    std::size_t bufferSize = 1;
+
+    /** Padded batching (Insight 5): coalesce up to this many
+     *  buffered requests per service turn.  Size bufferSize to at
+     *  least this for batches to form; 1 = the paper's setup. */
+    std::size_t maxBatchSize = 1;
+
+    /** Phase-aware power management (Section 5.2): run token phases
+     *  at this SM clock on every server (0 disables). */
+    double phaseAwareTokenClockMhz = 0.0;
+
+    /** Probability each 2 s row reading is silently dropped
+     *  (OOB telemetry unreliability, Section 3.3). */
+    double telemetryDropoutProbability = 0.0;
+};
 
 /**
  * One homogeneous group of rows ([[topology.rows]]): same rack
@@ -95,13 +155,6 @@ struct TopologyConfig
     /** Sustained time above a limit before that breaker trips. */
     sim::Tick breakerTripDuration = sim::secondsToTicks(30);
 
-    /** Attach one POLCA manager per row (managed experiments). */
-    bool manageRows = true;
-
-    /** Record every non-leaf manager's full reading series (the
-     *  compositional site power trace artifact). */
-    bool recordSeries = false;
-
     std::vector<TopologyRowGroup> groups;
 
     int numRows() const;
@@ -113,8 +166,8 @@ struct TopologyConfig
 power::ServerSpec serverSpecForPreset(const std::string &preset);
 
 /**
- * Owns the site tree plus the per-row dispatchers.  The tree is
- * finalized (managers and breakers running) on return; traffic,
+ * Owns the power-domain tree plus the per-row dispatchers.  The tree
+ * is finalized (managers and breakers running) on return; traffic,
  * managers, and observability are attached by the experiment
  * harness.
  */
@@ -122,28 +175,43 @@ class Site
 {
   public:
     /** One row's serving cell: its domain, dispatcher, model, and
-     *  path-keyed random stream. */
+     *  random stream. */
     struct SiteRow
     {
         std::string name;
         PowerDomain *domain = nullptr;
         std::unique_ptr<Dispatcher> dispatcher;
         llm::ModelSpec model;
-        const TopologyRowGroup *group = nullptr;
 
-        /** forkPath(name)-derived stream; per-row components
-         *  (dispatcher, manager) fork from it, so the row's
-         *  randomness depends only on (site seed, row name). */
+        /** The row's stream; per-row components (dispatcher,
+         *  manager) fork from it.  In a site tree it is forkPath(name)
+         *  of the site stream, so the row's randomness depends only
+         *  on (site seed, row name). */
         sim::Rng rng;
     };
 
     /**
-     * Build the tree.  @p shared supplies the row-scope knobs every
-     * group inherits (buffer size, batching, phase-aware clock);
-     * counts, budgets, and hardware come from @p config.
+     * Build the `[topology]` tree.  @p shared supplies the row-scope
+     * knobs every group inherits (buffer size, batching, phase-aware
+     * clock); counts, budgets, and hardware come from @p config.
+     * @p recordSeries keeps the site's and every row's full reading
+     * series.
      */
     Site(sim::Simulation &sim, const TopologyConfig &config,
-         const RowConfig &shared, sim::Rng rng);
+         const RowConfig &shared, sim::Rng rng,
+         bool recordSeries = false);
+
+    /**
+     * Build the flat `[row]` deployment as a one-row tree: the root
+     * is the row domain "row", with base + added servers directly
+     * beneath it (no rack level, no site node) and a budget of
+     * baseServers x provisionedPerServerWatts.  @p rng is the row's
+     * own stream: the dispatcher forks 0x0d15 and telemetry dropout
+     * 0xD80 from it.  @p recordSeries keeps the row's full reading
+     * series.
+     */
+    Site(sim::Simulation &sim, const RowConfig &row, sim::Rng rng,
+         bool recordSeries = false);
 
     PowerDomain &root() { return *root_; }
     const PowerDomain &root() const { return *root_; }
@@ -154,8 +222,6 @@ class Site
     int numServers() const { return root_->numServers(); }
 
   private:
-    sim::Simulation &sim_;
-    TopologyConfig config_;
     std::unique_ptr<PowerDomain> root_;
     std::vector<SiteRow> rows_;
 };

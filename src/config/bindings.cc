@@ -239,9 +239,7 @@ rowConfigSchema()
                    Unit::Megahertz, 0.0, 10000.0)
             .field("telemetry_dropout_probability",
                    &cluster::RowConfig::telemetryDropoutProbability,
-                   Unit::Fraction, 0.0, 1.0)
-            .boolField("record_power_series",
-                       &cluster::RowConfig::recordPowerSeries);
+                   Unit::Fraction, 0.0, 1.0);
         return s;
     }();
     return schema;
@@ -271,9 +269,7 @@ topologyConfigSchema()
                    &T::siteBreakerLimitFraction, Unit::Fraction, 0.0,
                    5.0)
             .tickField("breaker_trip_duration",
-                       &T::breakerTripDuration, 0.1, 86400.0)
-            .boolField("manage_rows", &T::manageRows)
-            .boolField("record_series", &T::recordSeries);
+                       &T::breakerTripDuration, 0.1, 86400.0);
         return s;
     }();
     return schema;

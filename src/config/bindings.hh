@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include "cluster/row.hh"
 #include "cluster/topology.hh"
 #include "config/schema.hh"
 #include "core/oversub_experiment.hh"

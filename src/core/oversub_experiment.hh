@@ -1,10 +1,11 @@
 /**
  * @file
- * The oversubscription experiment harness (Section 6.4-6.6): build a
- * row, generate (or accept) a request trace scaled to the deployed
- * server count, attach a power manager with a policy, run, and report
- * the paper's metrics — per-priority p50/p99/max latency, throughput,
- * and power-brake counts.
+ * The oversubscription experiment harness (Section 6.4-6.6): build
+ * the power-domain tree (the paper's flat row, or a `[topology]`
+ * site), generate (or accept) a request trace per row scaled to its
+ * deployed server count, attach a power manager with a policy to
+ * every row, run, and report the paper's metrics — per-priority
+ * p50/p99/max latency, throughput, and power-brake counts.
  */
 
 #pragma once
@@ -14,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/row.hh"
 #include "cluster/topology.hh"
 #include "core/policy.hh"
 #include "core/power_manager.hh"
@@ -52,17 +52,19 @@ struct ExperimentConfig
 
     /**
      * Hierarchical site topology ([topology] section).  Disabled,
-     * the experiment runs the paper's single flat row built from
-     * `row`; enabled, it builds the heterogeneous
-     * servers → racks → rows → site tree described by the groups
-     * (with `row` supplying the shared per-server knobs) and runs
-     * every row's serving cell under per-level breakers and budgets.
+     * the experiment runs the paper's single flat row, built from
+     * `row` as the one-row tree whose root is the row; enabled, it
+     * builds the heterogeneous servers → racks → rows → site tree
+     * described by the groups (with `row` supplying the shared
+     * per-server knobs).  Either way one harness runs every row's
+     * serving cell under the tree's breakers and budgets.
      */
     cluster::TopologyConfig topology;
 
     PolicyConfig policy = PolicyConfig::polca();
 
-    /** false = run without any power manager (unthrottled). */
+    /** false = run without any power manager (unthrottled); true
+     *  attaches one POLCA manager per row. */
     bool managed = true;
 
     sim::Tick duration = sim::secondsToTicks(7 * 24 * 3600.0);
@@ -117,7 +119,9 @@ struct ExperimentConfig
      *  scaled to the deployed server count. */
     const workload::Trace *externalTrace = nullptr;
 
-    /** Record the 2 s row power series into the result (Fig 16). */
+    /** Record the 2 s row power series into the result (Fig 16);
+     *  in site mode the site's series plus one per row (the
+     *  compositional site_power.csv). */
     bool recordRowSeries = false;
 
     /**
@@ -150,7 +154,8 @@ struct ExperimentConfig
     /** Arm the runtime safety-invariant monitor for the run. */
     SafetyOptions safety;
 
-    /** Model the physical row breaker and violation accounting. */
+    /** Model the physical row breaker and violation accounting
+     *  (flat row; site trees arm theirs from [topology]). */
     bool modelBreaker = true;
 
     /** Breaker trip limit as a multiple of provisioned power
@@ -190,6 +195,7 @@ struct LatencyStats
  * Per-domain rollup of one site-mode run: one entry per non-leaf
  * tree node, in pre-order (site first, then each row followed by its
  * racks).  Feeds domains.csv and the `polcactl report` rollup table.
+ * A flat-row run has none.
  */
 struct DomainStats
 {
@@ -220,8 +226,12 @@ struct DomainStats
     double highP99 = 0.0;
     std::uint64_t capCommands = 0;
     std::uint64_t powerBrakeEvents = 0;
-    std::uint64_t violations = 0;  ///< safety breaches at this level
     /** @} */
+
+    /** Safety breaches at this level: a row's monitor, or the
+     *  breaker-envelope monitor of any other domain with an armed
+     *  breaker (zero when the monitor is off). */
+    std::uint64_t violations = 0;
 };
 
 /** One domain's recorded power trace (site mode, when recording). */

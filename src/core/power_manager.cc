@@ -37,7 +37,7 @@ toString(ControlMode mode)
 }
 
 PowerManager::PowerManager(sim::Simulation &sim,
-                           telemetry::RowManager &telemetry,
+                           telemetry::DomainManager &telemetry,
                            double provisionedWatts, PolicyConfig policy,
                            sim::Rng rng, ManagerOptions options)
     : sim_(sim), telemetry_(telemetry),

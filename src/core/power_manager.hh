@@ -33,7 +33,7 @@
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
-#include "telemetry/row_manager.hh"
+#include "telemetry/domain_manager.hh"
 #include "telemetry/smbpbi.hh"
 
 namespace polca::core {
@@ -157,7 +157,7 @@ class PowerManager : public faults::ControllerHooks
         sim::Tick brakeEngagedAt = 0;
     };
 
-    PowerManager(sim::Simulation &sim, telemetry::RowManager &telemetry,
+    PowerManager(sim::Simulation &sim, telemetry::DomainManager &telemetry,
                  double provisionedWatts, PolicyConfig policy,
                  sim::Rng rng, ManagerOptions options = ManagerOptions());
 
@@ -342,7 +342,7 @@ class PowerManager : public faults::ControllerHooks
     const PoolState &poolState(workload::Priority pool) const;
 
     sim::Simulation &sim_;
-    telemetry::RowManager &telemetry_;
+    telemetry::DomainManager &telemetry_;
     double provisionedWatts_;
     PolicyConfig policy_;
     sim::Rng rng_;

@@ -41,7 +41,7 @@ SafetyMonitor::SafetyMonitor(sim::Simulation &sim, Limits limits,
 }
 
 void
-SafetyMonitor::attachTelemetry(telemetry::RowManager &telemetry)
+SafetyMonitor::attachTelemetry(telemetry::DomainManager &telemetry)
 {
     telemetry.addListener([this](sim::Tick now, double watts) {
         lastDelivered_ = now;

@@ -24,7 +24,7 @@
 #include "core/power_manager.hh"
 #include "obs/observability.hh"
 #include "sim/simulation.hh"
-#include "telemetry/row_manager.hh"
+#include "telemetry/domain_manager.hh"
 
 namespace polca::core {
 
@@ -126,7 +126,7 @@ class SafetyMonitor
                   PowerManager *manager);
 
     /** Track delivered telemetry and quiet episodes. */
-    void attachTelemetry(telemetry::RowManager &telemetry);
+    void attachTelemetry(telemetry::DomainManager &telemetry);
 
     /** Register the violation counter and trace events. */
     void attachObservability(obs::Observability *obs);

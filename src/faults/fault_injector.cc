@@ -14,9 +14,9 @@ FaultInjector::FaultInjector(sim::Simulation &sim, FaultPlan plan,
 }
 
 void
-FaultInjector::attachTelemetry(telemetry::RowManager &rowManager)
+FaultInjector::attachTelemetry(telemetry::DomainManager &telemetry)
 {
-    rowManager.setFaultHook(
+    telemetry.setFaultHook(
         [this](sim::Tick now, double watts) {
             return filterReading(now, watts);
         });

@@ -3,7 +3,7 @@
  * Executes a FaultPlan against a running simulation.
  *
  * The injector composes every telemetry-facing fault into one
- * RowManager fault hook (blackouts, then bursty loss, then sensor
+ * DomainManager fault hook (blackouts, then bursty loss, then sensor
  * corruption — a reading must survive all three to be delivered)
  * and schedules the time-triggered faults (OOB outages, server
  * crash/restarts) on the event queue at start().  All stochastic
@@ -24,7 +24,7 @@
 #include "obs/observability.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
-#include "telemetry/row_manager.hh"
+#include "telemetry/domain_manager.hh"
 #include "telemetry/smbpbi.hh"
 
 namespace polca::faults {
@@ -39,9 +39,9 @@ class FaultInjector
   public:
     FaultInjector(sim::Simulation &sim, FaultPlan plan, sim::Rng rng);
 
-    /** Install the reading fault hook on @p rowManager (replaces any
+    /** Install the reading fault hook on @p telemetry (replaces any
      *  hook already installed there). */
-    void attachTelemetry(telemetry::RowManager &rowManager);
+    void attachTelemetry(telemetry::DomainManager &telemetry);
 
     /** Channels affected by correlated OOB outages. */
     void

@@ -96,25 +96,19 @@ class Rng
         return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
     }
 
-    /** Exponential with the given rate (mean 1/rate). */
-    double
-    exponential(double rate)
-    {
-        return std::exponential_distribution<double>(rate)(engine_);
-    }
-
-    /** Normal with mean/stddev. */
+    /**
+     * Normal with mean/stddev.  Scales a unit draw rather than
+     * handing @p stddev to std::normal_distribution, which requires
+     * stddev > 0: a zero stddev (a noise-free model, a noise fault
+     * of 0 W) returns @p mean and still consumes the same engine
+     * draws.  For stddev > 0 the value is bitwise what the library
+     * distribution returns (z * stddev + mean).
+     */
     double
     normal(double mean, double stddev)
     {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
-    }
-
-    /** Log-normal parameterized by the underlying normal. */
-    double
-    lognormal(double mu, double sigma)
-    {
-        return std::lognormal_distribution<double>(mu, sigma)(engine_);
+        return mean +
+            stddev * std::normal_distribution<double>(0.0, 1.0)(engine_);
     }
 
     /** Bernoulli trial. */

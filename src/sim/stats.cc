@@ -121,61 +121,4 @@ Sampler::quantile(double q) const
     return values_[lower] * (1.0 - frac) + values_[lower + 1] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    POLCA_CHECK(bins > 0, "zero bins");
-    POLCA_CHECK(hi > lo, "hi (", hi, ") must exceed lo (", lo, ")");
-}
-
-void
-Histogram::add(double value)
-{
-    double t = (value - lo_) / (hi_ - lo_);
-    auto bin = static_cast<std::ptrdiff_t>(
-        t * static_cast<double>(counts_.size()));
-    bin = std::clamp<std::ptrdiff_t>(
-        bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(bin)];
-    ++total_;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    total_ = 0;
-}
-
-double
-Histogram::binLow(std::size_t bin) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-        static_cast<double>(counts_.size());
-}
-
-double
-Histogram::binHigh(std::size_t bin) const
-{
-    return binLow(bin + 1);
-}
-
-double
-Histogram::binFraction(std::size_t bin) const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(counts_.at(bin)) /
-        static_cast<double>(total_);
-}
-
-double
-quantileOf(std::vector<double> values, double q)
-{
-    Sampler sampler;
-    for (double v : values)
-        sampler.add(v);
-    return sampler.quantile(q);
-}
-
 } // namespace polca::sim

@@ -97,44 +97,5 @@ class Sampler
     mutable bool sorted_ = true;
 };
 
-/**
- * Fixed-bin histogram over [lo, hi); out-of-range values clamp to the
- * edge bins.  Used for power-draw distribution reporting.
- */
-class Histogram
-{
-  public:
-    /** @param bins number of equal-width bins (>= 1). */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double value);
-    void reset();
-
-    std::size_t bins() const { return counts_.size(); }
-    std::size_t total() const { return total_; }
-    std::size_t binCount(std::size_t bin) const { return counts_.at(bin); }
-
-    /** Lower edge of bin @p bin. */
-    double binLow(std::size_t bin) const;
-
-    /** Upper edge of bin @p bin. */
-    double binHigh(std::size_t bin) const;
-
-    /** Fraction of observations in bin @p bin (0 when empty). */
-    double binFraction(std::size_t bin) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
-
-/**
- * Exact quantile of a value vector (copies + sorts).  Convenience for
- * one-shot analysis.
- */
-double quantileOf(std::vector<double> values, double q);
-
 } // namespace polca::sim
 

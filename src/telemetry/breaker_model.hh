@@ -97,6 +97,9 @@ class BreakerModel
     /** Effective trip limit in watts. */
     double breakerLimitWatts() const { return limitWatts_; }
 
+    /** Sustained time above the limit before the breaker trips. */
+    sim::Tick tripDuration() const { return config_.tripDuration; }
+
     /** @name Violation accounting */
     /** @{ */
     /** Breaker trips so far (the breaker re-arms after each). */

@@ -1,10 +1,10 @@
 /**
  * @file
  * Queryable registry of the power monitoring/control interfaces and
- * row-level parameters the paper tabulates (Tables 1 and 2).  The
- * simulated interfaces (DcgmMonitor, IpmiMonitor, SmbpbiController,
- * RowManager) take their latencies from here so the modelled
- * environment is auditable in one place.
+ * row-level parameters the paper tabulates (Tables 1 and 2), so the
+ * latency envelope the simulated row manager (DomainManager) and
+ * SMBPBI channels model is auditable in one place.  The in-band
+ * DCGM and IPMI rows are listed here only: POLCA never reads them.
  */
 
 #pragma once

@@ -246,6 +246,21 @@ TEST(SchemaHostile, UnknownKeySuggestion)
               std::string::npos) << err;
     EXPECT_NE(err.find("did you mean 'base_servers'"),
               std::string::npos) << err;
+
+    // Series recording and row managers are experiment settings
+    // (experiment.record_row_series, experiment.managed) in both
+    // modes; [row] and [topology] have no keys for them.
+    err = applyError(rowConfigSchema(), "record_power_series = true\n",
+                     row);
+    EXPECT_NE(err.find("unknown key 'record_power_series'"),
+              std::string::npos) << err;
+    cluster::TopologyConfig topology;
+    for (const char *key : {"record_series", "manage_rows"}) {
+        err = applyError(topologyConfigSchema(),
+                         std::string(key) + " = true\n", topology);
+        EXPECT_NE(err.find("unknown key '" + std::string(key) + "'"),
+                  std::string::npos) << err;
+    }
 }
 
 TEST(SchemaHostile, ScalarExpected)

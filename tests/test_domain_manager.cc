@@ -1,17 +1,17 @@
-/** @file Unit tests for the row manager telemetry aggregator. */
+/** @file Unit tests for the domain manager telemetry aggregator. */
 
 #include <gtest/gtest.h>
 
 #include "sim/simulation.hh"
-#include "telemetry/row_manager.hh"
+#include "telemetry/domain_manager.hh"
 
 using namespace polca::telemetry;
 using namespace polca::sim;
 
-TEST(RowManager, SumsSourcesEveryInterval)
+TEST(DomainManager, SumsSourcesEveryInterval)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     double a = 100.0, b = 200.0;
     manager.addSource([&] { return a; });
     manager.addSource([&] { return b; });
@@ -21,10 +21,10 @@ TEST(RowManager, SumsSourcesEveryInterval)
     EXPECT_EQ(manager.latestReadingTime(), secondsToTicks(2));
 }
 
-TEST(RowManager, SeriesRecordsHistory)
+TEST(DomainManager, SeriesRecordsHistory)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     double v = 1.0;
     manager.addSource([&] { return v; });
     manager.start();
@@ -36,10 +36,10 @@ TEST(RowManager, SeriesRecordsHistory)
     EXPECT_DOUBLE_EQ(manager.series().points()[1].value, 2.0);
 }
 
-TEST(RowManager, RecordingCanBeDisabled)
+TEST(DomainManager, RecordingCanBeDisabled)
 {
     Simulation sim;
-    RowManager manager(sim, secondsToTicks(2), /*recordSeries=*/false);
+    DomainManager manager(sim, secondsToTicks(2), /*recordSeries=*/false);
     manager.addSource([] { return 5.0; });
     manager.start();
     sim.runFor(secondsToTicks(10));
@@ -47,10 +47,10 @@ TEST(RowManager, RecordingCanBeDisabled)
     EXPECT_DOUBLE_EQ(manager.latestReading(), 5.0);
 }
 
-TEST(RowManager, ListenersSeeEveryReading)
+TEST(DomainManager, ListenersSeeEveryReading)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 7.0; });
     int calls = 0;
     double last = 0.0;
@@ -64,19 +64,19 @@ TEST(RowManager, ListenersSeeEveryReading)
     EXPECT_DOUBLE_EQ(last, 7.0);
 }
 
-TEST(RowManager, ReadNowBypassesSchedule)
+TEST(DomainManager, ReadNowBypassesSchedule)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 9.0; });
     EXPECT_DOUBLE_EQ(manager.readNow(), 9.0);
     EXPECT_DOUBLE_EQ(manager.latestReading(), 0.0);  // not periodic
 }
 
-TEST(RowManager, StopHaltsReadings)
+TEST(DomainManager, StopHaltsReadings)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 1.0; });
     manager.start();
     sim.runFor(secondsToTicks(4));
@@ -85,20 +85,20 @@ TEST(RowManager, StopHaltsReadings)
     EXPECT_EQ(manager.series().size(), 2u);
 }
 
-TEST(RowManager, CustomInterval)
+TEST(DomainManager, CustomInterval)
 {
     Simulation sim;
-    RowManager manager(sim, secondsToTicks(5));
+    DomainManager manager(sim, secondsToTicks(5));
     manager.addSource([] { return 1.0; });
     manager.start();
     sim.runFor(secondsToTicks(20));
     EXPECT_EQ(manager.series().size(), 4u);
 }
 
-TEST(RowManager, DropoutSkipsReadingsSilently)
+TEST(DomainManager, DropoutSkipsReadingsSilently)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 1.0; });
     int notified = 0;
     manager.addListener([&](Tick, double) { ++notified; });
@@ -112,10 +112,10 @@ TEST(RowManager, DropoutSkipsReadingsSilently)
               1000u);
 }
 
-TEST(RowManager, StopThenStartResumesSchedule)
+TEST(DomainManager, StopThenStartResumesSchedule)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 1.0; });
     manager.start();
     EXPECT_TRUE(manager.running());
@@ -133,10 +133,10 @@ TEST(RowManager, StopThenStartResumesSchedule)
     EXPECT_EQ(manager.latestReadingTime(), secondsToTicks(18));
 }
 
-TEST(RowManager, FaultHookDropsReadings)
+TEST(DomainManager, FaultHookDropsReadings)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 4.0; });
     int notified = 0;
     manager.addListener([&](Tick, double) { ++notified; });
@@ -149,10 +149,10 @@ TEST(RowManager, FaultHookDropsReadings)
     EXPECT_TRUE(manager.series().empty());
 }
 
-TEST(RowManager, FaultHookRewritesValues)
+TEST(DomainManager, FaultHookRewritesValues)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 4.0; });
     manager.setFaultHook(
         [](Tick, double watts) { return std::optional(watts * 2.0); });
@@ -162,13 +162,13 @@ TEST(RowManager, FaultHookRewritesValues)
     EXPECT_EQ(manager.droppedReadings(), 0u);
 }
 
-TEST(RowManager, FaultHookRunsAfterDropoutFilter)
+TEST(DomainManager, FaultHookRunsAfterDropoutFilter)
 {
     // A reading lost to i.i.d. dropout never reaches the hook, so
     // hook-based fault statistics exclude benign dropout losses: the
     // hook fires exactly once per *delivered* reading.
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     manager.addSource([] { return 4.0; });
     int hookCalls = 0, notified = 0;
     manager.addListener([&](Tick, double) { ++notified; });
@@ -186,18 +186,18 @@ TEST(RowManager, FaultHookRunsAfterDropoutFilter)
               100u - static_cast<std::uint64_t>(notified));
 }
 
-TEST(RowManagerDeath, BadDropoutProbabilityFatal)
+TEST(DomainManagerDeath, BadDropoutProbabilityFatal)
 {
     Simulation sim;
-    RowManager manager(sim);
+    DomainManager manager(sim);
     EXPECT_DEATH(manager.setDropoutProbability(1.5, Rng(1)),
                  "outside");
 }
 
-TEST(RowManagerDeath, EmptySourcePanics)
+TEST(DomainManagerDeath, EmptySourcePanics)
 {
     Simulation sim;
-    RowManager manager(sim);
-    EXPECT_DEATH(manager.addSource(RowManager::PowerSource{}),
+    DomainManager manager(sim);
+    EXPECT_DEATH(manager.addSource(DomainManager::PowerSource{}),
                  "empty power source");
 }

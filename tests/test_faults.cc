@@ -13,7 +13,7 @@
 #include "llm/model_spec.hh"
 #include "sim/simulation.hh"
 #include "telemetry/breaker_model.hh"
-#include "telemetry/row_manager.hh"
+#include "telemetry/domain_manager.hh"
 
 using namespace polca;
 using namespace polca::faults;
@@ -40,7 +40,7 @@ struct TelemetryFixture
     }
 
     Simulation sim;
-    telemetry::RowManager row;
+    telemetry::DomainManager row;
     FaultInjector injector;
     double watts = 5000.0;
     std::vector<std::pair<Tick, double>> delivered;
@@ -176,6 +176,27 @@ TEST(FaultInjector, SensorBiasShiftsWindowedReadings)
             tick < fault.start + fault.duration;
         EXPECT_DOUBLE_EQ(value, inWindow ? 3500.0 : 5000.0);
     }
+}
+
+TEST(FaultInjector, ZeroStddevNoiseLeavesReadingsUnchanged)
+{
+    // A 0 W noise fault is a valid plan; it must pass readings
+    // through as they are rather than reach the library normal
+    // distribution with a zero stddev.
+    FaultPlan plan;
+    SensorFault fault;
+    fault.start = secondsToTicks(10);
+    fault.duration = secondsToTicks(10);
+    fault.mode = SensorFaultMode::Noise;
+    fault.noiseStddevWatts = 0.0;
+    plan.sensorFaults.push_back(fault);
+    EXPECT_TRUE(plan.problems().empty());
+    TelemetryFixture f(std::move(plan));
+
+    f.sim.runFor(secondsToTicks(30));
+    ASSERT_EQ(f.delivered.size(), 15u);
+    for (const auto &[tick, value] : f.delivered)
+        EXPECT_EQ(value, 5000.0) << "at " << ticksToSeconds(tick) << " s";
 }
 
 TEST(FaultInjector, CorruptedReadingsClampAtZero)
@@ -577,7 +598,7 @@ struct AcceptanceFixture
     }
 
     Simulation sim;
-    telemetry::RowManager row;
+    telemetry::DomainManager row;
     core::PowerManager manager;
     FaultInjector injector;
     std::unique_ptr<telemetry::BreakerModel> breaker;

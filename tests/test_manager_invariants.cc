@@ -82,7 +82,7 @@ struct Harness
     }
 
     Simulation sim;
-    RowManager telemetry;
+    DomainManager telemetry;
     PowerManager manager;
     std::vector<std::unique_ptr<RecordingTarget>> low;
     std::vector<std::unique_ptr<RecordingTarget>> high;

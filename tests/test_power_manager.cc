@@ -61,7 +61,7 @@ struct Fixture
     }
 
     Simulation sim;
-    RowManager telemetry;
+    DomainManager telemetry;
     PowerManager manager;
     std::vector<std::unique_ptr<FakeTarget>> low;
     std::vector<std::unique_ptr<FakeTarget>> high;
@@ -258,7 +258,7 @@ TEST(PowerManager, VerifyToleratesSubMhzApplicationError)
     };
 
     Simulation sim;
-    RowManager telemetry(sim, secondsToTicks(2), false);
+    DomainManager telemetry(sim, secondsToTicks(2), false);
     PowerManager manager(sim, telemetry, 10000.0,
                          PolicyConfig::polca(), Rng(1));
     OffByALittle target;
@@ -568,7 +568,7 @@ TEST(PowerManager, ServerRestartResetsChannelCircuitBreaker)
     };
 
     Simulation sim;
-    RowManager telemetry(sim, secondsToTicks(2), false);
+    DomainManager telemetry(sim, secondsToTicks(2), false);
     PowerManager manager(sim, telemetry, 10000.0,
                          PolicyConfig::polca(), Rng(1));
     Crashable target;

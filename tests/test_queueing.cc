@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/row.hh"
+#include "cluster/topology.hh"
 #include "llm/phase_model.hh"
 #include "sim/simulation.hh"
 #include "workload/trace_gen.hh"
@@ -35,10 +35,11 @@ serve(double utilization, std::uint64_t seed, int servers = 8,
     Simulation sim(seed);
     RowConfig rowConfig;
     rowConfig.baseServers = servers;
-    Row row(sim, rowConfig, sim.rng().fork(1));
+    Site site(sim, rowConfig, sim.rng().fork(1));
+    Site::SiteRow &row = site.rows().front();
 
     TraceGenerator generator;
-    llm::PhaseModel phases(row.model());
+    llm::PhaseModel phases(row.model);
     TraceGenOptions options;
     options.duration = secondsToTicks(hours * 3600.0);
     options.numServers = servers;
@@ -50,25 +51,25 @@ serve(double utilization, std::uint64_t seed, int servers = 8,
     options.diurnal.weekendDip = 0.0;
     options.diurnal.noiseAmplitude = 0.0;
     Trace trace = generator.generate(options);
-    row.dispatcher().injectTrace(trace);
+    row.dispatcher->injectTrace(trace);
     sim.runUntil(options.duration);
 
     RunStats stats;
     Sampler all;
     for (Priority p : {Priority::Low, Priority::High}) {
         for (double v :
-             row.dispatcher().latencySeconds(p).values())
+             row.dispatcher->latencySeconds(p).values())
             all.add(v);
     }
     stats.completions =
-        row.dispatcher().completions(Priority::Low) +
-        row.dispatcher().completions(Priority::High);
+        row.dispatcher->completions(Priority::Low) +
+        row.dispatcher->completions(Priority::High);
     stats.meanLatencySeconds = all.mean();
     stats.completionsPerSecond =
         static_cast<double>(stats.completions) / (hours * 3600.0);
 
     Tick busy = 0;
-    for (InferenceServer *server : row.servers())
+    for (InferenceServer *server : row.domain->servers())
         busy += server->busyTicks();
     stats.meanBusyFraction = static_cast<double>(busy) /
         (static_cast<double>(servers) *

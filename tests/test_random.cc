@@ -76,15 +76,6 @@ TEST(Rng, UniformIntInclusiveBounds)
     EXPECT_TRUE(sawHi);
 }
 
-TEST(Rng, ExponentialMeanMatchesRate)
-{
-    Rng rng(13);
-    Accumulator acc;
-    for (int i = 0; i < 50000; ++i)
-        acc.add(rng.exponential(2.0));
-    EXPECT_NEAR(acc.mean(), 0.5, 0.02);
-}
-
 TEST(Rng, NormalMomentsMatch)
 {
     Rng rng(17);
@@ -93,6 +84,28 @@ TEST(Rng, NormalMomentsMatch)
         acc.add(rng.normal(10.0, 3.0));
     EXPECT_NEAR(acc.mean(), 10.0, 0.1);
     EXPECT_NEAR(acc.stddev(), 3.0, 0.1);
+}
+
+TEST(Rng, NormalMatchesTheLibraryDistributionBitwise)
+{
+    Rng rng(23);
+    std::mt19937_64 engine(23);
+    for (int i = 0; i < 1000; ++i) {
+        double expected =
+            std::normal_distribution<double>(-4.0, 2.5)(engine);
+        ASSERT_EQ(rng.normal(-4.0, 2.5), expected) << "draw " << i;
+    }
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsMeanAndKeepsTheStream)
+{
+    Rng rng(29);
+    Rng reference(29);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(rng.normal(7.0, 0.0), 7.0);
+        (void)reference.normal(0.0, 1.0);
+    }
+    EXPECT_EQ(rng.uniform(), reference.uniform());
 }
 
 TEST(Rng, BernoulliFrequency)

@@ -87,7 +87,7 @@ struct Fixture
     }
 
     Simulation sim;
-    RowManager telemetry;
+    DomainManager telemetry;
     PowerManager manager;
     SafetyMonitor monitor;
     std::vector<std::unique_ptr<FakeTarget>> low;

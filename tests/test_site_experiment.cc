@@ -127,3 +127,33 @@ TEST(SiteExperiment, UnmanagedSiteRunsWithoutManagers)
     EXPECT_EQ(result.capCommands, 0u);
     EXPECT_GT(result.lowCompletions + result.highCompletions, 0u);
 }
+
+TEST(SiteExperiment, MonitorChecksTheSiteBreakerEnvelope)
+{
+    // Rows at their nameplate budget never leave their own breaker
+    // envelope, but a site budgeted at a fifth of them overdraws its
+    // breaker from the start.  The site breaker has no manager, so
+    // its monitor checks the envelope only.
+    ExperimentConfig config = smallSite(0.2);
+    config.managed = false;
+    config.safety.monitor = true;
+    ExperimentResult result = runOversubExperiment(config);
+
+    ASSERT_EQ(result.domains.size(), 10u);
+    const DomainStats &site = result.domains[0];
+    ASSERT_EQ(site.path, "site");
+    EXPECT_EQ(site.violations, 1u);
+    for (const DomainStats &d : result.domains) {
+        if (d.level != "site") {
+            EXPECT_EQ(d.violations, 0u) << d.path;
+        }
+    }
+    ASSERT_EQ(result.violations.size(), 1u);
+    EXPECT_EQ(result.violations[0].invariant,
+              SafetyInvariant::BreakerEnvelope);
+    EXPECT_DOUBLE_EQ(result.violations[0].limit,
+                     site.breakerLimitWatts);
+    EXPECT_GT(result.violations[0].value, site.breakerLimitWatts);
+    // Reported once the excursion outlasts the breaker's own grace.
+    EXPECT_GE(result.violations[0].at, sim::secondsToTicks(30));
+}

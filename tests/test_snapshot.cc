@@ -156,7 +156,7 @@ class FakeTarget : public telemetry::ClockControllable
 TEST(SnapshotPowerManager, DurableStateSurvivesWarmRestart)
 {
     sim::Simulation sim;
-    telemetry::RowManager telemetry(sim, sim::secondsToTicks(2),
+    telemetry::DomainManager telemetry(sim, sim::secondsToTicks(2),
                                     false);
     core::PowerManager manager(sim, telemetry, 10000.0,
                                core::PolicyConfig::polca(),

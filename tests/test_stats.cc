@@ -125,52 +125,3 @@ TEST(SamplerDeath, QuantileOutOfRangePanics)
     s.add(1.0);
     EXPECT_DEATH(s.quantile(1.5), "outside");
 }
-
-TEST(Histogram, BinningAndEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bin 0
-    h.add(3.0);   // bin 1
-    h.add(9.99);  // bin 4
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 1u);
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 2.0);
-    EXPECT_DOUBLE_EQ(h.binHigh(1), 4.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdgeBins)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-5.0);
-    h.add(100.0);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(4), 1u);
-}
-
-TEST(Histogram, FractionsSumToOne)
-{
-    Histogram h(0.0, 1.0, 4);
-    for (int i = 0; i < 100; ++i)
-        h.add(i / 100.0);
-    double total = 0.0;
-    for (std::size_t b = 0; b < h.bins(); ++b)
-        total += h.binFraction(b);
-    EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(HistogramDeath, ZeroBinsFatal)
-{
-    EXPECT_DEATH(Histogram(0.0, 1.0, 0), "zero bins");
-}
-
-TEST(HistogramDeath, InvertedRangeFatal)
-{
-    EXPECT_DEATH(Histogram(1.0, 0.0, 4), "must exceed");
-}
-
-TEST(QuantileOf, OneShotHelper)
-{
-    EXPECT_DOUBLE_EQ(quantileOf({3.0, 1.0, 2.0}, 0.5), 2.0);
-}
