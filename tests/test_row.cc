@@ -1,14 +1,22 @@
-/** @file Unit tests for the Row topology object. */
+/**
+ * @file
+ * Tests of the flat row: the [row] deployment built as a one-row
+ * cluster::Site whose root is the row, with its servers directly
+ * beneath it.
+ */
 
 #include <gtest/gtest.h>
 
-#include "cluster/row.hh"
+#include <cstdint>
 
-using namespace polca::cluster;
-using namespace polca::workload;
-using namespace polca::sim;
+#include "cluster/topology.hh"
+#include "sim/random.hh"
+#include "workload/trace.hh"
 
 namespace {
+
+using namespace polca;
+using namespace polca::cluster;
 
 RowConfig
 smallRow(int base = 4, double added = 0.0)
@@ -21,96 +29,108 @@ smallRow(int base = 4, double added = 0.0)
 
 } // namespace
 
-TEST(Row, DeploysBasePlusAddedServers)
+TEST(OneRowSite, RootIsTheRowWithServersDirectlyBeneath)
 {
-    Simulation sim;
-    Row row(sim, smallRow(10, 0.30), Rng(1));
-    EXPECT_EQ(row.numServers(), 13);
+    sim::Simulation sim;
+    Site site(sim, smallRow(4), sim::Rng(1));
+    ASSERT_EQ(site.rows().size(), 1u);
+    EXPECT_EQ(site.rows()[0].domain, &site.root());
+    EXPECT_EQ(site.root().path(), "row");
+    EXPECT_EQ(site.root().level(), DomainLevel::Row);
+    ASSERT_EQ(site.root().children().size(), 4u);
+    for (const auto &child : site.root().children())
+        EXPECT_NE(child->server(), nullptr) << child->path();
 }
 
-TEST(Row, ProvisionedBudgetUsesBaseServersOnly)
+TEST(OneRowSite, DeploysBasePlusAddedServers)
+{
+    sim::Simulation sim;
+    Site site(sim, smallRow(10, 0.30), sim::Rng(1));
+    EXPECT_EQ(site.numServers(), 13);
+}
+
+TEST(OneRowSite, ProvisionedBudgetUsesBaseServersOnly)
 {
     // Oversubscription adds servers under the *same* budget.
-    Simulation sim;
-    Row row(sim, smallRow(10, 0.30), Rng(1));
-    EXPECT_DOUBLE_EQ(row.provisionedWatts(), 10 * 4950.0);
+    sim::Simulation sim;
+    Site site(sim, smallRow(10, 0.30), sim::Rng(1));
+    EXPECT_DOUBLE_EQ(site.root().budgetWatts(), 10 * 4950.0);
 }
 
-TEST(Row, PoolSplitFollowsLpFraction)
+TEST(OneRowSite, PoolSplitFollowsLpFraction)
 {
-    Simulation sim;
+    sim::Simulation sim;
     RowConfig config = smallRow(10);
     config.lpServerFraction = 0.5;
-    Row row(sim, config, Rng(1));
-    EXPECT_EQ(row.pool(Priority::Low).size(), 5u);
-    EXPECT_EQ(row.pool(Priority::High).size(), 5u);
+    Site site(sim, config, sim::Rng(1));
+    EXPECT_EQ(site.root().pool(workload::Priority::Low).size(), 5u);
+    EXPECT_EQ(site.root().pool(workload::Priority::High).size(), 5u);
 }
 
-TEST(Row, IdleRowPowerIsSumOfIdleServers)
+TEST(OneRowSite, IdleRowPowerIsSumOfIdleServers)
 {
-    Simulation sim;
-    Row row(sim, smallRow(4), Rng(1));
-    double perServer = row.servers()[0]->powerWatts();
-    EXPECT_NEAR(row.powerWatts(), 4 * perServer, 1.0);
+    sim::Simulation sim;
+    Site site(sim, smallRow(4), sim::Rng(1));
+    double perServer = site.root().servers()[0]->powerWatts();
+    EXPECT_NEAR(site.root().powerWatts(), 4 * perServer, 1.0);
 }
 
-TEST(Row, RowManagerSeesAllServers)
+TEST(OneRowSite, RootManagerSeesAllServers)
 {
-    Simulation sim;
-    RowConfig config = smallRow(4);
-    config.recordPowerSeries = true;
-    Row row(sim, config, Rng(1));
-    sim.runFor(secondsToTicks(2));
-    EXPECT_NEAR(row.rowManager().latestReading(), row.powerWatts(),
-                1.0);
+    sim::Simulation sim;
+    Site site(sim, smallRow(4), sim::Rng(1), /*recordSeries=*/true);
+    sim.runFor(sim::secondsToTicks(2));
+    EXPECT_NEAR(site.root().manager()->latestReading(),
+                site.root().powerWatts(), 1.0);
 }
 
-TEST(Row, TelemetryIntervalRespected)
+TEST(OneRowSite, TelemetryIntervalRespected)
 {
-    Simulation sim;
+    sim::Simulation sim;
     RowConfig config = smallRow(2);
-    config.recordPowerSeries = true;
-    config.telemetryInterval = secondsToTicks(5);
-    Row row(sim, config, Rng(1));
-    sim.runFor(secondsToTicks(20));
-    EXPECT_EQ(row.rowManager().series().size(), 4u);
+    config.telemetryInterval = sim::secondsToTicks(5);
+    Site site(sim, config, sim::Rng(1), /*recordSeries=*/true);
+    sim.runFor(sim::secondsToTicks(20));
+    EXPECT_EQ(site.root().manager()->series().size(), 4u);
 }
 
-TEST(Row, ServesTrafficEndToEnd)
+TEST(OneRowSite, ServesTrafficEndToEnd)
 {
-    Simulation sim;
-    Row row(sim, smallRow(4), Rng(1));
+    sim::Simulation sim;
+    Site site(sim, smallRow(4), sim::Rng(1));
+    Dispatcher &dispatcher = *site.rows().front().dispatcher;
 
-    Trace trace;
+    workload::Trace trace;
     for (int i = 0; i < 8; ++i) {
-        Request r;
-        r.arrival = secondsToTicks(static_cast<double>(i));
+        workload::Request r;
+        r.arrival = sim::secondsToTicks(static_cast<double>(i));
         r.id = static_cast<std::uint64_t>(i);
-        r.priority = i % 2 ? Priority::High : Priority::Low;
+        r.priority =
+            i % 2 ? workload::Priority::High : workload::Priority::Low;
         r.inputTokens = 1024;
         r.outputTokens = 64;
         trace.add(r);
     }
-    row.dispatcher().injectTrace(trace);
-    sim.runFor(secondsToTicks(120));
-    EXPECT_EQ(row.dispatcher().completions(Priority::Low), 4u);
-    EXPECT_EQ(row.dispatcher().completions(Priority::High), 4u);
+    dispatcher.injectTrace(trace);
+    sim.runFor(sim::secondsToTicks(120));
+    EXPECT_EQ(dispatcher.completions(workload::Priority::Low), 4u);
+    EXPECT_EQ(dispatcher.completions(workload::Priority::High), 4u);
 }
 
-TEST(Row, ModelResolvedFromCatalog)
+TEST(OneRowSite, ModelResolvedFromCatalog)
 {
-    Simulation sim;
+    sim::Simulation sim;
     RowConfig config = smallRow(2);
     config.modelName = "Llama2-70B";
-    Row row(sim, config, Rng(1));
-    EXPECT_EQ(row.model().name, "Llama2-70B");
-    EXPECT_EQ(row.model().inferenceGpus, 4);
+    Site site(sim, config, sim::Rng(1));
+    EXPECT_EQ(site.rows().front().model.name, "Llama2-70B");
+    EXPECT_EQ(site.rows().front().model.inferenceGpus, 4);
 }
 
-TEST(RowDeath, UnknownModelFatal)
+TEST(OneRowSiteDeath, UnknownModelFatal)
 {
-    Simulation sim;
+    sim::Simulation sim;
     RowConfig config = smallRow(2);
     config.modelName = "GPT-5";
-    EXPECT_DEATH(Row(sim, config, Rng(1)), "unknown model");
+    EXPECT_DEATH(Site(sim, config, sim::Rng(1)), "unknown model");
 }
