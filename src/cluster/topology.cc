@@ -26,6 +26,14 @@ TopologyConfig::numServers() const
     return total;
 }
 
+llm::ModelSpec
+effectiveModelSpec(const RowConfig &row)
+{
+    if (row.modelOverride)
+        return *row.modelOverride;
+    return llm::ModelCatalog().byName(row.modelName);
+}
+
 power::ServerSpec
 serverSpecForPreset(const std::string &preset)
 {
@@ -133,6 +141,14 @@ Site::Site(sim::Simulation &sim, const TopologyConfig &config,
             rowOptions.recordSeries = recordSeries;
             PowerDomain &rowDomain = root_->addChild(rowOptions);
             siteRow.domain = &rowDomain;
+            // `[row] telemetry_dropout_probability` drops row
+            // readings, drawn from the row's own stream as in the
+            // flat row.
+            if (shared.telemetryDropoutProbability > 0.0) {
+                rowDomain.manager()->setDropoutProbability(
+                    shared.telemetryDropoutProbability,
+                    siteRow.rng.fork(0xD80));
+            }
 
             std::vector<workload::Priority> priorities =
                 allocatePriorities(serversPerRow,
@@ -196,9 +212,7 @@ Site::Site(sim::Simulation &sim, const RowConfig &row, sim::Rng rng,
 
     SiteRow siteRow;
     siteRow.name = "row";
-    siteRow.model = row.modelOverride
-        ? *row.modelOverride
-        : llm::ModelCatalog().byName(row.modelName);
+    siteRow.model = effectiveModelSpec(row);
     siteRow.rng = rng;
 
     PowerDomain::Options options;

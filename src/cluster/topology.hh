@@ -95,6 +95,10 @@ struct RowConfig
     double telemetryDropoutProbability = 0.0;
 };
 
+/** The model @p row serves: its override when set, else the catalog
+ *  entry named by RowConfig::modelName. */
+llm::ModelSpec effectiveModelSpec(const RowConfig &row);
+
 /**
  * One homogeneous group of rows ([[topology.rows]]): same rack
  * geometry, GPU generation, and served model.

@@ -240,7 +240,7 @@ bindPolicy(const ConfigNode &root, const cluster::RowConfig &row,
     } else if (preset == "nocap") {
         policy = core::PolicyConfig::noCap();
     } else if (preset == "aware") {
-        policy = core::workloadAwarePolicy(effectiveModelSpec(row));
+        policy = core::workloadAwarePolicy(cluster::effectiveModelSpec(row));
     } else if (preset == "none") {
         policy = core::PolicyConfig{};
     } else {
@@ -643,14 +643,6 @@ bindTopology(const ConfigNode &root, core::ExperimentConfig &config,
 
 } // namespace
 
-llm::ModelSpec
-effectiveModelSpec(const cluster::RowConfig &row)
-{
-    if (row.modelOverride)
-        return *row.modelOverride;
-    return llm::ModelCatalog().byName(row.modelName);
-}
-
 bool
 bindExperiment(const ConfigNode &root, core::ExperimentConfig &config,
                Diagnostics &diag)
@@ -1050,7 +1042,7 @@ dumpResolved(const core::ExperimentConfig &config,
                 gpuSpecSchema(), source, "row.server.gpu",
                 "preset:" + config.row.serverSpec.gpu.name);
 
-    llm::ModelSpec model = effectiveModelSpec(config.row);
+    llm::ModelSpec model = cluster::effectiveModelSpec(config.row);
     dumpSection(os, "model", model, modelSpecSchema(), source,
                 "model", "catalog:" + model.name);
 
@@ -1184,8 +1176,8 @@ resolvedConfigsEqual(const core::ExperimentConfig &a,
     if (!gpuSpecSchema().equal(a.row.serverSpec.gpu,
                                b.row.serverSpec.gpu))
         return false;
-    if (!modelSpecSchema().equal(effectiveModelSpec(a.row),
-                                 effectiveModelSpec(b.row)))
+    if (!modelSpecSchema().equal(cluster::effectiveModelSpec(a.row),
+                                 cluster::effectiveModelSpec(b.row)))
         return false;
     if (!policyConfigSchema().equal(a.policy, b.policy))
         return false;

@@ -137,9 +137,5 @@ bool resolvedConfigsEqual(const core::ExperimentConfig &a,
 std::string warmupDigest(const core::ExperimentConfig &config,
                          const ConfigNode &source);
 
-/** The model a row will serve: the override when set, else the
- *  catalog entry named by RowConfig::modelName. */
-llm::ModelSpec effectiveModelSpec(const cluster::RowConfig &row);
-
 } // namespace polca::config
 

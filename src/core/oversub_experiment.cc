@@ -24,7 +24,6 @@ LatencyStats::from(const sim::Sampler &sampler)
     stats.p50 = sampler.quantile(0.50);
     stats.p99 = sampler.quantile(0.99);
     stats.max = sampler.max();
-    stats.mean = sampler.mean();
     return stats;
 }
 
@@ -66,8 +65,7 @@ resolvedRowConfig(const ExperimentConfig &config)
 {
     cluster::RowConfig rowConfig = config.row;
     if (config.autoBalancePools) {
-        llm::ModelCatalog catalog;
-        llm::PhaseModel phases(catalog.byName(rowConfig.modelName));
+        llm::PhaseModel phases(cluster::effectiveModelSpec(rowConfig));
         rowConfig.lpServerFraction =
             workload::TraceGenerator(config.mix)
                 .lowPriorityWorkShare(phases);

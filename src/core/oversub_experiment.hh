@@ -185,7 +185,6 @@ struct LatencyStats
     double p50 = 0.0;
     double p99 = 0.0;
     double max = 0.0;
-    double mean = 0.0;
     std::uint64_t count = 0;
 
     static LatencyStats from(const sim::Sampler &sampler);

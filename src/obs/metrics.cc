@@ -117,6 +117,8 @@ MetricsRegistry::histogram(const std::string &name, double lo,
     if (!entry.histogram) {
         entry.histogram = std::make_unique<Histogram>(lo, hi, buckets);
         entry.desc = desc;
+        entry.countName = name;
+        entry.countName += "::count";
     } else if (entry.histogram->lo() != lo ||
                entry.histogram->hi() != hi ||
                entry.histogram->buckets() != buckets) {
@@ -140,6 +142,8 @@ MetricsRegistry::logHistogram(const std::string &name,
         entry.logHistogram = std::make_unique<LogHistogram>(
             minValue, maxValue, relativeError);
         entry.desc = desc;
+        entry.countName = name;
+        entry.countName += "::count";
     } else if (entry.logHistogram->minValue() != minValue ||
                entry.logHistogram->maxValue() != maxValue ||
                entry.logHistogram->relativeError() != relativeError) {
@@ -352,10 +356,10 @@ MetricsRegistry::visitScalars(
             if (!entry.gauge->isVolatile())
                 fn(name, ScalarKind::Gauge, entry.gauge->value());
         } else if (entry.histogram) {
-            fn(name + "::count", ScalarKind::HistogramCount,
+            fn(entry.countName, ScalarKind::HistogramCount,
                static_cast<double>(entry.histogram->count()));
         } else if (entry.logHistogram) {
-            fn(name + "::count", ScalarKind::HistogramCount,
+            fn(entry.countName, ScalarKind::HistogramCount,
                static_cast<double>(entry.logHistogram->count()));
         }
     }

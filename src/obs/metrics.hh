@@ -244,10 +244,16 @@ class MetricsRegistry
     };
 
     /**
-     * Visit every non-volatile scalar, name-sorted: counters and the
-     * "::count" of each (log) histogram as cumulative values, gauges
-     * as point samples.  The interval-stats snapshotter is the
-     * intended consumer; unlike dump() this reports raw doubles.
+     * Visit every non-volatile scalar: counters and the "::count" of
+     * each (log) histogram as cumulative values, gauges as point
+     * samples.  The interval-stats snapshotter is the intended
+     * consumer; unlike dump() this reports raw doubles.
+     *
+     * Entries are walked in name order, which is not the order of
+     * the names passed to @p fn: a histogram "x" is reported as
+     * "x::count" at the position of "x", so before a counter "x.y",
+     * although "x.y" < "x::count" ('.' < ':').  Each name passed to
+     * @p fn is a string the registry owns, built at registration.
      */
     void visitScalars(
         const std::function<void(const std::string &name,
@@ -258,6 +264,7 @@ class MetricsRegistry
     struct Entry
     {
         std::string desc;
+        std::string countName;  ///< "<name>::count" for histograms
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;

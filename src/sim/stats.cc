@@ -62,14 +62,12 @@ void
 Sampler::add(double value)
 {
     values_.push_back(value);
-    sorted_ = values_.size() <= 1;
 }
 
 void
 Sampler::reset()
 {
     values_.clear();
-    sorted_ = true;
 }
 
 double
@@ -97,28 +95,52 @@ Sampler::max() const
     return *std::max_element(values_.begin(), values_.end());
 }
 
-void
-Sampler::ensureSorted() const
+namespace {
+
+/** The interpolated quantile of @p values by the reference method:
+ *  a sorted copy, indexed. */
+[[maybe_unused]] double
+sortedQuantile(std::vector<double> values, std::size_t lower,
+               double frac)
 {
-    if (!sorted_) {
-        std::sort(values_.begin(), values_.end());
-        sorted_ = true;
-    }
+    std::sort(values.begin(), values.end());
+    if (lower + 1 >= values.size())
+        return values.back();
+    return values[lower] * (1.0 - frac) + values[lower + 1] * frac;
 }
+
+/** Equal, or both NaN (an interpolation across an infinity). */
+[[maybe_unused]] bool
+sameQuantile(double a, double b)
+{
+    return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+} // namespace
 
 double
 Sampler::quantile(double q) const
 {
     POLCA_CHECK(!values_.empty(), "quantile on empty sampler");
     POLCA_CHECK(q >= 0.0 && q <= 1.0, "q=", q, " outside [0,1]");
-    ensureSorted();
 
     double pos = q * static_cast<double>(values_.size() - 1);
     std::size_t lower = static_cast<std::size_t>(pos);
     double frac = pos - static_cast<double>(lower);
-    if (lower + 1 >= values_.size())
-        return values_.back();
-    return values_[lower] * (1.0 - frac) + values_[lower + 1] * frac;
+    // The lower order statistic by selection; everything after it is
+    // no smaller, so its successor is the minimum of the rest.
+    auto nth = values_.begin() + static_cast<std::ptrdiff_t>(lower);
+    std::nth_element(values_.begin(), nth, values_.end());
+    double result = lower + 1 >= values_.size()
+        ? *nth
+        : *nth * (1.0 - frac) +
+            *std::min_element(nth + 1, values_.end()) * frac;
+    POLCA_DCHECK(
+        sameQuantile(result, sortedQuantile(values_, lower, frac)),
+        "selected quantile ", result, " at q=", q,
+        " differs from the sorted-copy quantile ",
+        sortedQuantile(values_, lower, frac));
+    return result;
 }
 
 } // namespace polca::sim

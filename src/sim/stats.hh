@@ -56,7 +56,9 @@ class Accumulator
 
 /**
  * Stores every observation for exact quantiles (p50/p99/max latency
- * reporting).  Values are sorted lazily on first quantile query.
+ * reporting).  A quantile query finds its order statistics by
+ * selection (std::nth_element), O(n) per query, and leaves the
+ * observations partially reordered.
  */
 class Sampler
 {
@@ -77,7 +79,7 @@ class Sampler
     /**
      * Exact quantile with linear interpolation between order
      * statistics.  @p q in [0, 1]; querying an empty sampler is a
-     * caller error.
+     * caller error.  Reorders values().
      */
     double quantile(double q) const;
 
@@ -86,15 +88,12 @@ class Sampler
     double p95() const { return quantile(0.95); }
     double p99() const { return quantile(0.99); }
 
-    /** Read-only access to the raw observations (unsorted order not
-     *  guaranteed after a quantile query). */
+    /** Read-only access to the raw observations: in insertion order
+     *  until the first quantile query, unspecified after it. */
     const std::vector<double> &values() const { return values_; }
 
   private:
-    void ensureSorted() const;
-
     mutable std::vector<double> values_;
-    mutable bool sorted_ = true;
 };
 
 } // namespace polca::sim

@@ -2,12 +2,17 @@
  * @file
  * obs::IntervalStats: delta-vs-sample semantics, reconciliation of
  * interval columns against the cumulative registry dump, dropped
- * duplicate snapshots, and deterministic CSV output.
+ * duplicate snapshots, deterministic CSV output, column order versus
+ * registry visit order, mid-run registrations, copies extended
+ * against another registry, and printf-exact cell formatting.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,6 +39,22 @@ columnSum(const std::vector<std::vector<std::string>> &rows,
     for (std::size_t r = 1; r < rows.size(); ++r)
         sum += std::strtod(rows[r][col].c_str(), nullptr);
     return sum;
+}
+
+std::string
+csvOf(const obs::IntervalStats &stats)
+{
+    std::ostringstream os;
+    stats.writeCsv(os);
+    return os.str();
+}
+
+std::string
+printfFixed(const char *format, double v)
+{
+    char buf[400];
+    std::snprintf(buf, sizeof(buf), format, v);
+    return buf;
 }
 
 TEST(IntervalStats, CountersAreDeltasGaugesAreSamples)
@@ -170,6 +191,141 @@ TEST(IntervalStats, WriteCsvDeterministic)
     EXPECT_EQ(rows[0][0], "time_s");
     EXPECT_EQ(rows[0][1], "a.one");
     EXPECT_EQ(rows[0][2], "b.two");
+}
+
+TEST(IntervalStats, HistogramCountSortsAfterDottedCounter)
+{
+    // The registry visits "x" (as "x::count") before "x.y", but
+    // "x.y" < "x::count" ('.' < ':'): visit order is not column order.
+    obs::MetricsRegistry registry;
+    obs::Histogram &h = registry.histogram("x", 0.0, 10.0, 2);
+    obs::Counter &c = registry.counter("x.y");
+    registry.gauge("w").set(0.5);
+    obs::IntervalStats stats;
+    for (int i = 1; i <= 3; ++i) {
+        for (int k = 0; k < i; ++k)
+            h.add(1.0);
+        c += static_cast<std::uint64_t>(10 * i);
+        stats.snapshot(static_cast<double>(i), registry);
+    }
+    EXPECT_EQ(csvOf(stats),
+              "time_s,w,x.y,x::count\n"
+              "1.000000,0.500000,10,1\n"
+              "2.000000,0.500000,20,2\n"
+              "3.000000,0.500000,30,3\n");
+}
+
+TEST(IntervalStats, MetricRegisteredMidRunSortingFirst)
+{
+    obs::MetricsRegistry registry;
+    obs::Counter &m = registry.counter("m");
+    obs::IntervalStats stats;
+    m += 1;
+    stats.snapshot(1.0, registry);
+    m += 2;
+    stats.snapshot(2.0, registry);
+    // Both sort before "m": every earlier row gains two 0 cells in
+    // front, and m keeps its delta baseline across the re-layout.
+    registry.counter("a") += 5;
+    registry.gauge("b").set(1.25);
+    m += 4;
+    stats.snapshot(3.0, registry);
+    m += 8;
+    stats.snapshot(4.0, registry);
+    EXPECT_EQ(csvOf(stats),
+              "time_s,a,b,m\n"
+              "1.000000,0,0.000000,1\n"
+              "2.000000,0,0.000000,2\n"
+              "3.000000,5,1.250000,4\n"
+              "4.000000,0,1.250000,8\n");
+}
+
+TEST(IntervalStats, CopyExtendsAgainstAnotherRegistry)
+{
+    // What a warmup snapshot does: copy the stats at the boundary,
+    // then continue the copy against a rebuilt registry holding the
+    // restored values.  It must write what one uninterrupted run
+    // writes, and leave the copied-from stats untouched.
+    auto registerAll = [](obs::MetricsRegistry &r) {
+        (void)r.counter("c");
+        (void)r.gauge("g");
+        (void)r.logHistogram("lat", 1e-3, 10.0, 0.01);
+    };
+    auto step = [](obs::MetricsRegistry &r, obs::IntervalStats &stats,
+                   int i, bool extra) {
+        // "b.extra" sorts between the columns already laid out.
+        if (extra && i == 4)
+            r.counter("b.extra") += 7;
+        r.counter("c") += static_cast<std::uint64_t>(i);
+        r.gauge("g").set(0.25 * i);
+        for (int k = 0; k < i; ++k)
+            r.logHistogram("lat", 1e-3, 10.0, 0.01).add(0.5);
+        stats.snapshot(static_cast<double>(i), r);
+    };
+
+    obs::MetricsRegistry warm;
+    registerAll(warm);
+    obs::IntervalStats warmStats;
+    for (int i = 1; i <= 2; ++i)
+        step(warm, warmStats, i, false);
+    const obs::IntervalStats boundary = warmStats;
+    const std::string atBoundary = csvOf(boundary);
+
+    for (bool extra : {false, true}) {
+        SCOPED_TRACE(extra ? "a metric the warmup lacked"
+                           : "the warmup's metric set");
+        obs::MetricsRegistry whole;
+        registerAll(whole);
+        obs::IntervalStats uninterrupted;
+        for (int i = 1; i <= 5; ++i)
+            step(whole, uninterrupted, i, extra);
+
+        obs::MetricsRegistry rebuilt;
+        registerAll(rebuilt);
+        rebuilt.restoreValues(warm.saveValues());
+        obs::IntervalStats branch = boundary;
+        for (int i = 3; i <= 5; ++i)
+            step(rebuilt, branch, i, extra);
+
+        EXPECT_EQ(branch.rows(), 5u);
+        EXPECT_EQ(csvOf(branch), csvOf(uninterrupted));
+        EXPECT_EQ(csvOf(boundary), atBoundary);
+    }
+}
+
+TEST(IntervalStats, CellsMatchPrintfByteForByte)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> values = {
+        -0.0, 0.5,  1.5, 2.5, 9007199254740993.0, 1e300,
+        inf,  -inf, nan, -nan, 5e-324, -2.5, 0.0000005, 123.4567895};
+
+    obs::MetricsRegistry gauges;
+    obs::Gauge &v = gauges.gauge("v");
+    obs::IntervalStats stats;
+    std::string expected = "time_s,v\n";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        double t = 0.5 + static_cast<double>(i);
+        v.set(values[i]);
+        stats.snapshot(t, gauges);
+        expected += printfFixed("%.6f", t) + "," +
+            printfFixed("%.6f", values[i]) + "\n";
+    }
+    EXPECT_EQ(csvOf(stats), expected);
+
+    // A column is formatted by the kind it was last seen with: seen
+    // as a counter next, every earlier cell prints as a count.
+    obs::MetricsRegistry counters;
+    (void)counters.counter("v");
+    stats.snapshot(1e6, counters);
+    expected = "time_s,v\n";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        expected += printfFixed("%.6f", 0.5 + static_cast<double>(i)) +
+            "," + printfFixed("%.0f", values[i]) + "\n";
+    }
+    expected += printfFixed("%.6f", 1e6) + ",0\n";
+    EXPECT_EQ(csvOf(stats), expected);
 }
 
 } // namespace

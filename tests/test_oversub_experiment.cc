@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/allocator.hh"
 #include "core/oversub_experiment.hh"
+#include "llm/phase_model.hh"
 #include "workload/trace_gen.hh"
 
 using namespace polca::core;
@@ -203,10 +205,81 @@ TEST(OversubExperiment, ExternalTraceHonored)
     EXPECT_EQ(result.highCompletions, 1u);
 }
 
+namespace {
+
+/** A short row serving a prompt-bound BLOOM-176B (prompt phase 10x
+ *  slower, token phase 10x faster) under @p name.  It moves the
+ *  low-priority share of the work, by which pool auto-balancing
+ *  splits the servers, from 0.37 to 0.56. */
+ExperimentConfig
+tweakedModelConfig(const std::string &name)
+{
+    ExperimentConfig config;
+    config.row.baseServers = 10;
+    config.duration = secondsToTicks(900);
+    config.seed = 3;
+    polca::llm::ModelSpec spec =
+        polca::llm::ModelCatalog().byName("BLOOM-176B");
+    spec.promptMsPerKtoken *= 10.0;
+    spec.tokenTimeMs *= 0.1;
+    spec.name = name;
+    config.row.modelName = name;
+    config.row.modelOverride = spec;
+    return config;
+}
+
+bool
+sameOutcome(const ExperimentResult &a, const ExperimentResult &b)
+{
+    return a.lowCompletions == b.lowCompletions &&
+        a.highCompletions == b.highCompletions &&
+        a.low.p50 == b.low.p50 && a.low.p99 == b.low.p99 &&
+        a.high.p50 == b.high.p50 && a.high.p99 == b.high.p99 &&
+        a.energyKwh == b.energyKwh;
+}
+
+} // namespace
+
+TEST(OversubExperiment, RenamedModelOverrideRuns)
+{
+    // A [model] section that renames its preset is not a catalog
+    // entry; pool auto-balancing must read the override.
+    ExperimentResult result =
+        runOversubExperiment(tweakedModelConfig("BLOOM-tuned"));
+    EXPECT_GT(result.lowCompletions, 0u);
+    EXPECT_GT(result.highCompletions, 0u);
+}
+
+TEST(OversubExperiment, PoolsAreBalancedFromTheOverrideSpec)
+{
+    // The tweak keeps the catalog name, so a catalog lookup would
+    // silently balance on the untweaked spec.
+    ExperimentConfig tweaked = tweakedModelConfig("BLOOM-176B");
+    TraceGenerator mix(tweaked.mix);
+    double tweakedShare = mix.lowPriorityWorkShare(
+        polca::llm::PhaseModel(*tweaked.row.modelOverride));
+    double catalogShare = mix.lowPriorityWorkShare(polca::llm::PhaseModel(
+        polca::llm::ModelCatalog().byName("BLOOM-176B")));
+    int servers = tweaked.row.baseServers;
+    ASSERT_NE(polca::cluster::allocatePriorities(servers, tweakedShare),
+              polca::cluster::allocatePriorities(servers, catalogShare))
+        << "the tweak must move the pool split to tell them apart";
+
+    auto pinned = [&](double share) {
+        ExperimentConfig config = tweaked;
+        config.autoBalancePools = false;
+        config.row.lpServerFraction = share;
+        return runOversubExperiment(config);
+    };
+    ExperimentResult balanced = runOversubExperiment(tweaked);
+    EXPECT_TRUE(sameOutcome(balanced, pinned(tweakedShare)));
+    EXPECT_FALSE(sameOutcome(balanced, pinned(catalogShare)));
+}
+
 TEST(NormalizeLatency, RatiosAndDegenerateCases)
 {
-    LatencyStats value{2.0, 4.0, 8.0, 3.0, 10};
-    LatencyStats base{1.0, 2.0, 4.0, 1.5, 10};
+    LatencyStats value{2.0, 4.0, 8.0, 10};
+    LatencyStats base{1.0, 2.0, 4.0, 10};
     NormalizedLatency n = normalizeLatency(value, base);
     EXPECT_DOUBLE_EQ(n.p50, 2.0);
     EXPECT_DOUBLE_EQ(n.p99, 2.0);

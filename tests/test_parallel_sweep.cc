@@ -195,7 +195,6 @@ expectSameLatency(const core::LatencyStats &a, const core::LatencyStats &b)
     EXPECT_EQ(a.p50, b.p50);
     EXPECT_EQ(a.p99, b.p99);
     EXPECT_EQ(a.max, b.max);
-    EXPECT_EQ(a.mean, b.mean);
     EXPECT_EQ(a.count, b.count);
 }
 
@@ -298,15 +297,26 @@ expectSameResult(const core::ExperimentResult &a,
     }
 }
 
+/** A sweep point's stats_interval.csv, beside its metrics.csv. */
+std::string
+intervalPath(const std::string &metricsPath)
+{
+    const std::string suffix = ".metrics.csv";
+    EXPECT_TRUE(metricsPath.ends_with(suffix)) << metricsPath;
+    return metricsPath.substr(0, metricsPath.size() - suffix.size()) +
+        ".stats_interval.csv";
+}
+
 /**
  * Run the points from @p makePoints from scratch on one worker, then
  * branched from each shared warmup on four workers and on one, and
  * require byte-identical artifacts and equal results — every field
  * of each member's baseline included, since a branched sweep runs
  * one baseline per warmup group and copies it to the members.  The
- * one-worker branched run must announce @p progress.  Under TSan
- * this is also the race check for state that branches rebuild from
- * the shared snapshot on worker threads.
+ * points must set an [obs] interval: each point's stats_interval.csv
+ * is compared too.  The one-worker branched run must announce
+ * @p progress.  Under TSan this is also the race check for state
+ * that branches rebuild from the shared snapshot on worker threads.
  */
 void
 expectBranchedSweepMatchesFull(
@@ -360,6 +370,13 @@ expectBranchedSweepMatchesFull(
             ASSERT_FALSE(a.artifactPath.empty());
             EXPECT_EQ(slurp(a.artifactPath), slurp(b.artifactPath))
                 << a.artifactPath;
+            // The points' [obs] interval: the branch continues the
+            // warmup's interval stats copied out of the snapshot.
+            std::string aInterval = intervalPath(a.artifactPath);
+            ASSERT_TRUE(std::filesystem::exists(aInterval)) << aInterval;
+            EXPECT_EQ(slurp(aInterval),
+                      slurp(intervalPath(b.artifactPath)))
+                << aInterval;
             EXPECT_EQ(a.result.lowCompletions, b.result.lowCompletions);
             EXPECT_DOUBLE_EQ(a.result.low.p99, b.result.low.p99);
             EXPECT_DOUBLE_EQ(a.result.energyKwh, b.result.energyKwh);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/oversub_experiment.hh"
 
 namespace {
@@ -156,4 +158,34 @@ TEST(SiteExperiment, MonitorChecksTheSiteBreakerEnvelope)
     EXPECT_GT(result.violations[0].value, site.breakerLimitWatts);
     // Reported once the excursion outlasts the breaker's own grace.
     EXPECT_GE(result.violations[0].at, sim::secondsToTicks(30));
+}
+
+TEST(SiteExperiment, RowTelemetryDropoutAppliesToEveryRow)
+{
+    // Two rows of 2 x 2 servers, half of every row reading dropped.
+    ExperimentConfig config;
+    config.seed = 11;
+    config.duration = sim::secondsToTicks(300);
+    config.topology.enabled = true;
+    cluster::TopologyRowGroup group;
+    group.name = "row";
+    group.rows = 2;
+    group.racksPerRow = 2;
+    group.serversPerRack = 2;
+    config.topology.groups.push_back(group);
+    config.row.telemetryDropoutProbability = 0.5;
+
+    ExperimentResult a = runOversubExperiment(config);
+    // Only row managers drop: n readings, each dropped w.p. 1/2.
+    double n = 2.0 * static_cast<double>(config.duration) /
+        static_cast<double>(config.topology.telemetryInterval);
+    double sigma = std::sqrt(n * 0.25);
+    EXPECT_GT(static_cast<double>(a.droppedReadings), n / 2 - 5 * sigma);
+    EXPECT_LT(static_cast<double>(a.droppedReadings), n / 2 + 5 * sigma);
+
+    ExperimentResult b = runOversubExperiment(config);
+    EXPECT_EQ(a.droppedReadings, b.droppedReadings);
+    EXPECT_EQ(a.capCommands, b.capCommands);
+    EXPECT_EQ(a.low.p99, b.low.p99);
+    EXPECT_EQ(a.energyKwh, b.energyKwh);
 }

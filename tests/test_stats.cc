@@ -2,11 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "sim/stats.hh"
 
 using namespace polca::sim;
+
+namespace {
+
+/** The quantile of @p values from a sorted copy: the interpolation
+ *  Sampler::quantile specifies, on indexed order statistics. */
+double
+sortedQuantile(std::vector<double> values, double q)
+{
+    std::sort(values.begin(), values.end());
+    double pos = q * static_cast<double>(values.size() - 1);
+    auto lower = static_cast<std::size_t>(pos);
+    double frac = pos - static_cast<double>(lower);
+    if (lower + 1 >= values.size())
+        return values.back();
+    return values[lower] * (1.0 - frac) + values[lower + 1] * frac;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+} // namespace
 
 TEST(Accumulator, EmptyDefaults)
 {
@@ -101,10 +130,51 @@ TEST(Sampler, AddAfterQuantileStillCorrect)
     s.add(3.0);
     s.add(1.0);
     EXPECT_DOUBLE_EQ(s.p50(), 2.0);
-    s.add(2.0);  // forces resort on next query
+    s.add(2.0);  // after a query has reordered the store
     EXPECT_DOUBLE_EQ(s.p50(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 3.0);
     EXPECT_DOUBLE_EQ(s.min(), 1.0);
+}
+
+TEST(Sampler, SelectionMatchesSortedCopyBitwise)
+{
+    std::mt19937_64 gen(17);
+    std::uniform_real_distribution<double> uniform(0.001, 50.0);
+    const std::vector<double> forward = {0.0, 0.5, 0.99, 1.0};
+    const std::vector<double> backward(forward.rbegin(), forward.rend());
+    for (std::size_t n : {1u, 2u, 3u, 1000u}) {
+        std::vector<double> values;
+        for (std::size_t i = 0; i < n; ++i) {
+            // Every third draw repeats an earlier value.
+            values.push_back(i % 3 == 2 ? values[i / 2] : uniform(gen));
+        }
+        for (const auto *qs : {&forward, &backward}) {
+            SCOPED_TRACE("n = " + std::to_string(n) +
+                         (qs == &forward ? ", q ascending"
+                                         : ", q descending"));
+            Sampler s;
+            for (double v : values)
+                s.add(v);
+            for (double q : *qs) {
+                EXPECT_EQ(bits(s.quantile(q)),
+                          bits(sortedQuantile(values, q)))
+                    << "q = " << q;
+            }
+            // More samples after queries have reordered the store.
+            std::vector<double> more = values;
+            for (std::size_t i = 0; i < n; ++i) {
+                double v = i % 2 ? values[i] : uniform(gen);
+                s.add(v);
+                more.push_back(v);
+            }
+            for (double q : *qs) {
+                EXPECT_EQ(bits(s.quantile(q)),
+                          bits(sortedQuantile(more, q)))
+                    << "after add(), q = " << q;
+            }
+            EXPECT_EQ(s.count(), more.size());
+        }
+    }
 }
 
 TEST(Sampler, MeanOfEmptyIsZero)
