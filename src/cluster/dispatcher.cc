@@ -1,6 +1,7 @@
 #include "cluster/dispatcher.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/contracts.hh"
 #include "sim/logging.hh"
@@ -8,7 +9,7 @@
 namespace polca::cluster {
 
 Dispatcher::Dispatcher(sim::Simulation &sim, sim::Rng rng)
-    : sim_(sim), rng_(rng)
+    : sim_(sim), rng_(std::move(rng))
 {
 }
 

@@ -1,7 +1,9 @@
 #include "cluster/inference_server.hh"
 
 #include <algorithm>
+#include <cstddef>
 
+#include "core/contracts.hh"
 #include "sim/logging.hh"
 
 namespace polca::cluster {
@@ -27,16 +29,57 @@ InferenceServer::InferenceServer(sim::Simulation &sim,
                                  std::size_t bufferSize,
                                  ServerRole role)
     : sim_(sim), server_(std::move(serverSpec)), phases_(model),
-      pool_(pool), id_(id), bufferSize_(bufferSize), role_(role)
+      pool_(pool), id_(id), bufferSize_(bufferSize), role_(role),
+      usedGpus_(static_cast<std::size_t>(model.inferenceGpus))
 {
-    int needed = model.inferenceGpus;
-    if (needed <= 0 ||
-        static_cast<std::size_t>(needed) > server_.numGpus()) {
+    if (model.inferenceGpus <= 0 || usedGpus_ > server_.numGpus()) {
         sim::fatal("InferenceServer: model '", model.name, "' needs ",
-                   needed, " GPUs; server has ", server_.numGpus());
+                   model.inferenceGpus, " GPUs; server has ",
+                   server_.numGpus());
     }
-    for (int i = 0; i < needed; ++i)
-        usedGpus_.push_back(static_cast<std::size_t>(i));
+}
+
+void
+InferenceServer::RequestBuffer::push(const workload::Request &request)
+{
+    if (head_ > 0 && head_ >= size()) {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+    items_.push_back(request);
+}
+
+workload::Request
+InferenceServer::RequestBuffer::pop()
+{
+    POLCA_ASSERT(!empty(), "pop from an empty request buffer");
+    workload::Request request = items_[head_++];
+    if (empty())
+        clear();
+    return request;
+}
+
+void
+InferenceServer::RequestBuffer::clear()
+{
+    items_.clear();
+    head_ = 0;
+}
+
+std::vector<workload::Request>
+InferenceServer::RequestBuffer::requests() const
+{
+    return {items_.begin() + static_cast<std::ptrdiff_t>(head_),
+            items_.end()};
+}
+
+void
+InferenceServer::RequestBuffer::assign(
+    const std::vector<workload::Request> &requests)
+{
+    items_ = requests;
+    head_ = 0;
 }
 
 void
@@ -120,7 +163,7 @@ InferenceServer::submit(const workload::Request &request)
     if (!active_.has_value()) {
         startBatch({request});
     } else if (bufferFree()) {
-        buffer_.push_back(request);
+        buffer_.push(request);
     } else {
         sim::panic("InferenceServer ", id_,
                    ": submit with full buffer (dispatcher bug)");
@@ -152,18 +195,16 @@ InferenceServer::startNextFromBuffer()
     if (buffer_.empty())
         return;
     std::vector<workload::Request> batch;
-    while (!buffer_.empty() && batch.size() < maxBatchSize_) {
-        batch.push_back(buffer_.front());
-        buffer_.pop_front();
-    }
+    while (!buffer_.empty() && batch.size() < maxBatchSize_)
+        batch.push_back(buffer_.pop());
     startBatch(std::move(batch));
 }
 
 double
 InferenceServer::currentSlowdown(llm::Phase phase) const
 {
-    return server_.gpu(usedGpus_.front())
-        .slowdownFactor(phases_.computeBoundFraction(phase));
+    return server_.gpu(0).slowdownFactor(
+        phases_.computeBoundFraction(phase));
 }
 
 void
@@ -176,7 +217,7 @@ InferenceServer::setPhaseActivity()
         activity.compute *= powerScale_;
         activity.memory = std::min(activity.memory * powerScale_, 1.2);
     }
-    for (std::size_t g : usedGpus_)
+    for (std::size_t g = 0; g < usedGpus_; ++g)
         server_.setGpuActivity(g, activity);
     powerChanged();
 }
@@ -407,7 +448,7 @@ InferenceServer::saveState() const
     state.crashed = crashed_;
     state.crashes = crashes_;
     state.droppedRequests = droppedRequests_;
-    state.buffer = buffer_;
+    state.buffer = buffer_.requests();
     state.completed = completed_;
     state.busyTicks = busyTicks_;
     if (active_.has_value()) {
@@ -437,7 +478,7 @@ InferenceServer::restoreState(const State &state)
     crashed_ = state.crashed;
     crashes_ = state.crashes;
     droppedRequests_ = state.droppedRequests;
-    buffer_ = state.buffer;
+    buffer_.assign(state.buffer);
     completed_ = state.completed;
     busyTicks_ = state.busyTicks;
     active_.reset();

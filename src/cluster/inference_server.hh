@@ -5,12 +5,16 @@
  * Section 6.6).  Executes prompt/token phases at the GPUs' effective
  * clock and reschedules in-flight work exactly when POLCA changes the
  * frequency locks.
+ *
+ * A site builds ten thousand of these, so a server holds only what
+ * varies per server: its GPUs share one spec (power::ServerModel),
+ * the GPUs a model uses are a count, and the request buffer
+ * allocates nothing until a request is buffered.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -263,7 +267,7 @@ class InferenceServer : public telemetry::ClockControllable
         std::uint64_t crashes = 0;
         std::uint64_t droppedRequests = 0;
         std::optional<BatchState> active;
-        std::deque<workload::Request> buffer;
+        std::vector<workload::Request> buffer;  ///< in arrival order
         std::uint64_t completed = 0;
         sim::Tick busyTicks = 0;
     };
@@ -283,6 +287,33 @@ class InferenceServer : public telemetry::ClockControllable
     /** @} */
 
   private:
+    /**
+     * FIFO of buffered requests that allocates nothing until a
+     * request is buffered: a vector whose live requests start at
+     * head_.  A pop advances head_ and a drained buffer resets to
+     * empty; a push onto a vector that is at least half consumed
+     * first erases the consumed prefix.  Pops are O(1) amortized and
+     * the vector never holds more than twice the most requests
+     * buffered at once.
+     */
+    class RequestBuffer
+    {
+      public:
+        std::size_t size() const { return items_.size() - head_; }
+        bool empty() const { return head_ == items_.size(); }
+        void push(const workload::Request &request);
+        /** Remove and return the oldest request; must not be empty. */
+        workload::Request pop();
+        void clear();
+        /** Buffered requests, oldest first. */
+        std::vector<workload::Request> requests() const;
+        void assign(const std::vector<workload::Request> &requests);
+
+      private:
+        std::vector<workload::Request> items_;
+        std::size_t head_ = 0;
+    };
+
     struct ActiveBatch
     {
         std::vector<workload::Request> requests;
@@ -328,8 +359,9 @@ class InferenceServer : public telemetry::ClockControllable
     std::size_t bufferSize_;
     // polca-snapshot: skip(role_, immutable role config)
     ServerRole role_;
+    /// The model runs on GPUs 0 .. usedGpus_ - 1.
     // polca-snapshot: skip(usedGpus_, fixed GPU assignment from construction)
-    std::vector<std::size_t> usedGpus_;
+    std::size_t usedGpus_;
     double powerScale_ = 1.0;
     double policyLockMhz_ = 0.0;     ///< lock commanded via OOB
     double phaseTokenClockMhz_ = 0.0;  ///< phase-aware token clock
@@ -340,7 +372,7 @@ class InferenceServer : public telemetry::ClockControllable
     std::optional<ActiveBatch> active_;
     // polca-snapshot: skip(maxBatchSize_, setup-time config; set before warmup)
     std::size_t maxBatchSize_ = 1;
-    std::deque<workload::Request> buffer_;
+    RequestBuffer buffer_;
     CompletionCallback onComplete_;
     AvailabilityCallback onAvailability_;
     std::function<void()> powerListener_;

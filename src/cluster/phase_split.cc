@@ -8,7 +8,8 @@ PhaseSplitCluster::PhaseSplitCluster(sim::Simulation &sim,
                                      PhaseSplitConfig config,
                                      sim::Rng rng)
     : sim_(sim), config_(std::move(config)),
-      model_(llm::ModelCatalog().byName(config_.modelName)), rng_(rng)
+      model_(llm::ModelCatalog().byName(config_.modelName)),
+      rng_(std::move(rng))
 {
     if (config_.promptServers <= 0 || config_.tokenServers <= 0)
         sim::fatal("PhaseSplitCluster: both pools need servers");

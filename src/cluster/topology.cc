@@ -83,7 +83,8 @@ deployServer(sim::Simulation &sim, PowerDomain &parent,
 } // namespace
 
 Site::Site(sim::Simulation &sim, const TopologyConfig &config,
-           const RowConfig &shared, sim::Rng rng, bool recordSeries)
+           const RowConfig &shared, const sim::Rng &rng,
+           bool recordSeries)
 {
     if (config.groups.empty())
         sim::fatal("topology: no row groups");
@@ -213,7 +214,7 @@ Site::Site(sim::Simulation &sim, const RowConfig &row, sim::Rng rng,
     SiteRow siteRow;
     siteRow.name = "row";
     siteRow.model = effectiveModelSpec(row);
-    siteRow.rng = rng;
+    siteRow.rng = std::move(rng);
 
     PowerDomain::Options options;
     options.name = siteRow.name;

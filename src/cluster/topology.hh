@@ -202,7 +202,7 @@ class Site
      * series.
      */
     Site(sim::Simulation &sim, const TopologyConfig &config,
-         const RowConfig &shared, sim::Rng rng,
+         const RowConfig &shared, const sim::Rng &rng,
          bool recordSeries = false);
 
     /**

@@ -42,7 +42,7 @@ PowerManager::PowerManager(sim::Simulation &sim,
                            sim::Rng rng, ManagerOptions options)
     : sim_(sim), telemetry_(telemetry),
       provisionedWatts_(provisionedWatts), policy_(std::move(policy)),
-      rng_(rng), options_(options),
+      rng_(std::move(rng)), options_(options),
       ruleActive_(policy_.rules.size(), false),
       ruleActivatedAt_(policy_.rules.size(), 0)
 {

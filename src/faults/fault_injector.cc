@@ -8,7 +8,7 @@ namespace polca::faults {
 
 FaultInjector::FaultInjector(sim::Simulation &sim, FaultPlan plan,
                              sim::Rng rng)
-    : sim_(sim), plan_(std::move(plan)), rng_(rng)
+    : sim_(sim), plan_(std::move(plan)), rng_(std::move(rng))
 {
     plan_.validate();
 }

@@ -1,6 +1,7 @@
 #include "llm/counters.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "power/gpu_spec.hh"
 
@@ -23,7 +24,7 @@ counterValues(const CounterSample &sample)
 
 CounterSynthesizer::CounterSynthesizer(const ModelSpec &model,
                                        sim::Rng rng)
-    : phases_(model), rng_(rng)
+    : phases_(model), rng_(std::move(rng))
 {
 }
 

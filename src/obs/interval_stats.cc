@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <ostream>
+#include <string>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -14,19 +18,59 @@ namespace polca::obs {
 namespace {
 
 /**
- * Append @p v formatted as printf's `%.<precision>f`.  std::to_chars
- * with chars_format::fixed and a precision is specified as printf
- * with that conversion, byte for byte: "-0", "inf", "-nan" and ties
- * rounded to even included.
+ * Write @p v as printf's `%.<precision>f` into [first, last) and
+ * return the end.  std::to_chars with chars_format::fixed and a
+ * precision is specified as printf with that conversion, byte for
+ * byte: "-0", "inf", "-nan" and ties rounded to even included.
+ */
+char *
+toCharsFixed(char *first, char *last, double v, int precision)
+{
+    auto [end, ec] = std::to_chars(first, last, v,
+                                   std::chars_format::fixed, precision);
+    POLCA_ASSERT(ec == std::errc(), "formatting ", v, " overflowed");
+    return end;
+}
+
+/** toCharsFixed() as a string: the reference the fast path checks
+ *  itself against. */
+[[maybe_unused]] std::string
+fixedString(double v, int precision)
+{
+    char buf[320];
+    return {buf, toCharsFixed(buf, buf + sizeof(buf), v, precision)};
+}
+
+/**
+ * Append @p v formatted as printf's `%.<precision>f`.  Almost every
+ * cell is an integral count, so an integral @p v below 2^53 in
+ * magnitude (the conversion to int64 is exact) prints through integer
+ * to_chars plus a zero fraction.  Everything else takes toCharsFixed():
+ * -0.0 (it prints "-0"), fractions, |v| >= 2^53, and infinities and
+ * NaN, for which the magnitude test is false.
  */
 void
 appendFixed(std::string &out, double v, int precision)
 {
     // "%.6f" of the largest double: sign, 309 digits, point, 6.
     char buf[320];
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
-                                   std::chars_format::fixed, precision);
-    POLCA_ASSERT(ec == std::errc(), "formatting ", v, " overflowed");
+    bool integral = std::fabs(v) < 0x1p53 && v == std::trunc(v) &&
+        !(v == 0.0 && std::signbit(v));
+    if (!integral) {
+        out.append(buf, toCharsFixed(buf, buf + sizeof(buf), v, precision));
+        return;
+    }
+    char *end = std::to_chars(buf, buf + sizeof(buf),
+                              static_cast<std::int64_t>(v))
+                    .ptr;
+    if (precision > 0) {
+        *end++ = '.';
+        end = std::fill_n(end, precision, '0');
+    }
+    POLCA_DCHECK(std::string_view(buf, end) == fixedString(v, precision),
+                 "integral fast path printed ", std::string_view(buf, end),
+                 " for ", v, " at precision ", precision, ", to_chars ",
+                 fixedString(v, precision));
     out.append(buf, end);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/contracts.hh"
 #include "sim/logging.hh"
@@ -21,10 +22,17 @@ clockTerm(const GpuSpec &spec, double mhz, double exponent)
 } // namespace
 
 GpuPowerModel::GpuPowerModel(GpuSpec spec)
-    : spec_(std::move(spec)), capThrottleClockMhz_(spec_.maxSmClockMhz)
+    : GpuPowerModel(std::make_shared<const GpuSpec>(std::move(spec)))
 {
-    if (spec_.tdpWatts <= 0.0 || spec_.maxSmClockMhz <= 0.0)
-        sim::fatal("GpuPowerModel: invalid spec '", spec_.name, "'");
+}
+
+GpuPowerModel::GpuPowerModel(std::shared_ptr<const GpuSpec> spec)
+    : spec_(std::move(spec))
+{
+    POLCA_CHECK(spec_ != nullptr, "GpuPowerModel: null spec");
+    if (spec_->tdpWatts <= 0.0 || spec_->maxSmClockMhz <= 0.0)
+        sim::fatal("GpuPowerModel: invalid spec '", spec_->name, "'");
+    capThrottleClockMhz_ = spec_->maxSmClockMhz;
 }
 
 void
@@ -39,8 +47,8 @@ GpuPowerModel::setActivity(const GpuActivity &activity)
 void
 GpuPowerModel::lockClock(double mhz)
 {
-    lockedClockMhz_ = std::clamp(mhz, spec_.minSmClockMhz,
-                                 spec_.maxSmClockMhz);
+    lockedClockMhz_ = std::clamp(mhz, spec_->minSmClockMhz,
+                                 spec_->maxSmClockMhz);
 }
 
 void
@@ -52,15 +60,15 @@ GpuPowerModel::unlockClock()
 void
 GpuPowerModel::setPowerCap(double watts)
 {
-    capWatts_ = std::clamp(watts, spec_.minPowerCapWatts,
-                           spec_.maxPowerCapWatts);
+    capWatts_ = std::clamp(watts, spec_->minPowerCapWatts,
+                           spec_->maxPowerCapWatts);
 }
 
 void
 GpuPowerModel::clearPowerCap()
 {
     capWatts_ = 0.0;
-    capThrottleClockMhz_ = spec_.maxSmClockMhz;
+    capThrottleClockMhz_ = spec_->maxSmClockMhz;
 }
 
 void
@@ -72,14 +80,14 @@ GpuPowerModel::setPowerBrake(bool engaged)
 double
 GpuPowerModel::targetClockMhz() const
 {
-    return clockLocked() ? lockedClockMhz_ : spec_.maxSmClockMhz;
+    return clockLocked() ? lockedClockMhz_ : spec_->maxSmClockMhz;
 }
 
 double
 GpuPowerModel::effectiveClockMhz() const
 {
     if (brakeEngaged_)
-        return spec_.powerBrakeClockMhz;
+        return spec_->powerBrakeClockMhz;
     return std::min(targetClockMhz(), capThrottleClockMhz_);
 }
 
@@ -89,25 +97,25 @@ GpuPowerModel::powerAtClock(double mhz) const
     if (mhz != memoClockMhz_) {
         memoClockMhz_ = mhz;
         memoComputeTerm_ =
-            clockTerm(spec_, mhz, spec_.computeClockExponent);
-        memoMemoryTerm_ = clockTerm(spec_, mhz, spec_.memoryClockExponent);
+            clockTerm(*spec_, mhz, spec_->computeClockExponent);
+        memoMemoryTerm_ = clockTerm(*spec_, mhz, spec_->memoryClockExponent);
     }
     POLCA_DCHECK(
         core::bitwiseEqual(memoComputeTerm_,
-                           clockTerm(spec_, mhz,
-                                     spec_.computeClockExponent)) &&
+                           clockTerm(*spec_, mhz,
+                                     spec_->computeClockExponent)) &&
             core::bitwiseEqual(memoMemoryTerm_,
-                               clockTerm(spec_, mhz,
-                                         spec_.memoryClockExponent)),
+                               clockTerm(*spec_, mhz,
+                                         spec_->memoryClockExponent)),
         "memoized clock terms at ", mhz,
         " MHz differ from a fresh evaluation");
     // Same operation order as the unmemoized formula,
     // (activity * dynWatts) * term, so every draw is bitwise equal.
     double compute =
-        activity_.compute * spec_.computeDynWatts * memoComputeTerm_;
+        activity_.compute * spec_->computeDynWatts * memoComputeTerm_;
     double memory =
-        activity_.memory * spec_.memoryDynWatts * memoMemoryTerm_;
-    return spec_.idleWatts + compute + memory;
+        activity_.memory * spec_->memoryDynWatts * memoMemoryTerm_;
+    return spec_->idleWatts + compute + memory;
 }
 
 double
@@ -120,7 +128,7 @@ void
 GpuPowerModel::stepCapController()
 {
     if (!powerCapped()) {
-        capThrottleClockMhz_ = spec_.maxSmClockMhz;
+        capThrottleClockMhz_ = spec_->maxSmClockMhz;
         return;
     }
 
@@ -135,7 +143,7 @@ GpuPowerModel::stepCapController()
         // prompt spikes escape the cap (Fig 9b).
         double scale = std::max(capWatts_ / p, 0.88);
         capThrottleClockMhz_ = std::max(clock * scale,
-                                        spec_.minSmClockMhz);
+                                        spec_->minSmClockMhz);
     } else if (p < capWatts_ * 0.97 &&
                capThrottleClockMhz_ < targetClockMhz()) {
         // Recover slowly (3 % per period) to avoid oscillation; this
@@ -154,7 +162,7 @@ GpuPowerModel::slowdownFactor(double computeBoundFraction) const
                 "compute-bound fraction ", computeBoundFraction,
                 " outside [0,1]");
     double f = effectiveClockMhz();
-    double ratio = spec_.maxSmClockMhz / f;
+    double ratio = spec_->maxSmClockMhz / f;
     return computeBoundFraction * ratio + (1.0 - computeBoundFraction);
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <limits>
+#include <memory>
 
 #include "power/gpu_spec.hh"
 #include "sim/types.hh"
@@ -43,13 +44,21 @@ struct GpuActivity
  *
  * The effective clock is min(locked clock, cap-throttle clock), or the
  * brake clock when the brake is engaged.
+ *
+ * The spec is shared and immutable: a server's eight GPUs hold one
+ * GpuSpec between them, and copies (snapshots, branch restores) share
+ * it too, so a GPU carries only its activity and knobs (88 bytes).
  */
 class GpuPowerModel
 {
   public:
+    /** A GPU with its own copy of @p spec (standalone use). */
     explicit GpuPowerModel(GpuSpec spec);
 
-    const GpuSpec &spec() const { return spec_; }
+    /** A GPU sharing @p spec with the other GPUs of its server. */
+    explicit GpuPowerModel(std::shared_ptr<const GpuSpec> spec);
+
+    const GpuSpec &spec() const { return *spec_; }
 
     /** @name Workload interface */
     /** @{ */
@@ -123,11 +132,11 @@ class GpuPowerModel
     /** Clock ceiling requested by lock (or max when unlocked). */
     double targetClockMhz() const;
 
-    GpuSpec spec_;
+    std::shared_ptr<const GpuSpec> spec_;  ///< never null
     GpuActivity activity_;
     double lockedClockMhz_ = 0.0;   ///< 0 = unlocked
     double capWatts_ = 0.0;         ///< 0 = uncapped
-    double capThrottleClockMhz_;    ///< cap controller's clock ceiling
+    double capThrottleClockMhz_ = 0.0;  ///< cap controller's clock ceiling
     bool brakeEngaged_ = false;
 
     // Clock terms (f / fmax)^exponent for memoClockMhz_; a copy

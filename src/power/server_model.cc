@@ -1,6 +1,7 @@
 #include "power/server_model.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/contracts.hh"
 #include "sim/logging.hh"
@@ -76,9 +77,10 @@ ServerModel::ServerModel(ServerSpec spec)
 {
     if (spec_.numGpus == 0)
         sim::fatal("ServerModel: server '", spec_.name, "' has no GPUs");
+    auto gpuSpec = std::make_shared<const GpuSpec>(spec_.gpu);
     gpus_.reserve(spec_.numGpus);
     for (std::size_t i = 0; i < spec_.numGpus; ++i)
-        gpus_.emplace_back(spec_.gpu);
+        gpus_.emplace_back(gpuSpec);
 }
 
 ServerModel::Draw

@@ -72,6 +72,9 @@ struct ServerSpec
 /**
  * A live server: owns its GPUs and derives total electrical draw.
  *
+ * The GPUs share one immutable GpuSpec, built at construction; a copy
+ * of the server shares it as well.
+ *
  * The draw is computed once per change, not once per read: every
  * mutator marks the cached GPU, host and total draw stale, and the
  * first read after it re-evaluates all GPUs.  GPUs are therefore

@@ -4,6 +4,27 @@
 
 namespace polca::sim {
 
+Rng &
+Rng::operator=(const Rng &other)
+{
+    if (this == &other)
+        return *this;
+    seed_ = other.seed_;
+    if (!other.engine_)
+        engine_.reset();
+    else if (engine_)
+        *engine_ = *other.engine_;  // reuse this Rng's allocation
+    else
+        engine_ = std::make_unique<std::mt19937_64>(*other.engine_);
+    return *this;
+}
+
+void
+Rng::buildEngine()
+{
+    engine_ = std::make_unique<std::mt19937_64>(seed_);
+}
+
 std::size_t
 Rng::weightedIndex(const std::vector<double> &weights)
 {

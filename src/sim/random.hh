@@ -6,11 +6,18 @@
  * explicitly seeded, so a simulation with the same configuration and
  * seed reproduces bit-identical trajectories.  Child generators can be
  * forked with independent streams for per-component randomness.
+ *
+ * A stream costs nothing until it is drawn from.  An Rng holds its
+ * seed inline and builds its std::mt19937_64 (2.5 KB of state) on the
+ * first draw, so the thousands of per-server streams that a site
+ * forks and never draws (an OOB channel that never drops a command,
+ * telemetry without dropout) stay 16 bytes each.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string_view>
 #include <vector>
@@ -19,24 +26,47 @@ namespace polca::sim {
 
 /**
  * Seeded pseudo-random generator with the distributions the models
- * need.  Thin wrapper over std::mt19937_64.
+ * need.  Thin wrapper over std::mt19937_64, built on first use.
+ *
+ * The engine is created from seed() by the first draw or engine()
+ * call; seed(), fork() and forkPath() never build it, and reseed()
+ * drops it.  The stream is the same either way: draw k of an Rng is
+ * draw k of std::mt19937_64(seed()).
+ *
+ * Copies continue the original's stream draw for draw: a copy of an
+ * unbuilt Rng is unbuilt, a copy of a built one deep-copies the
+ * engine.  Copying reads the source only, so any number of threads
+ * may copy one shared const Rng (a warmup snapshot) at once.  A
+ * moved-from Rng keeps its seed and loses its engine: its next draw
+ * restarts the stream from seed(), as after reseed(seed()).
  */
 class Rng
 {
   public:
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull)
-        : engine_(seed), seed_(seed)
+        : seed_(seed)
     {}
+
+    Rng(const Rng &other)
+        : seed_(other.seed_),
+          engine_(other.engine_
+                      ? std::make_unique<std::mt19937_64>(*other.engine_)
+                      : nullptr)
+    {}
+
+    Rng &operator=(const Rng &other);
+    Rng(Rng &&other) noexcept = default;
+    Rng &operator=(Rng &&other) noexcept = default;
 
     /** Seed used at construction (or last reseed). */
     std::uint64_t seed() const { return seed_; }
 
-    /** Reset the stream to @p seed. */
+    /** Reset the stream to @p seed (drops any built engine). */
     void
     reseed(std::uint64_t seed)
     {
         seed_ = seed;
-        engine_.seed(seed);
+        engine_.reset();
     }
 
     /**
@@ -79,21 +109,23 @@ class Rng
     double
     uniform()
     {
-        return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+        return std::uniform_real_distribution<double>(0.0, 1.0)(
+            engine());
     }
 
     /** Uniform double in [lo, hi). */
     double
     uniform(double lo, double hi)
     {
-        return std::uniform_real_distribution<double>(lo, hi)(engine_);
+        return std::uniform_real_distribution<double>(lo, hi)(engine());
     }
 
     /** Uniform integer in [lo, hi] (inclusive). */
     std::int64_t
     uniformInt(std::int64_t lo, std::int64_t hi)
     {
-        return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(
+            engine());
     }
 
     /**
@@ -108,14 +140,14 @@ class Rng
     normal(double mean, double stddev)
     {
         return mean +
-            stddev * std::normal_distribution<double>(0.0, 1.0)(engine_);
+            stddev * std::normal_distribution<double>(0.0, 1.0)(engine());
     }
 
     /** Bernoulli trial. */
     bool
     bernoulli(double p)
     {
-        return std::bernoulli_distribution(p)(engine_);
+        return std::bernoulli_distribution(p)(engine());
     }
 
     /**
@@ -124,12 +156,22 @@ class Rng
      */
     std::size_t weightedIndex(const std::vector<double> &weights);
 
-    /** Access the raw engine (for std distributions). */
-    std::mt19937_64 &engine() { return engine_; }
+    /** Access the raw engine (for std distributions); builds it on
+     *  first use. */
+    std::mt19937_64 &
+    engine()
+    {
+        if (!engine_)
+            buildEngine();
+        return *engine_;
+    }
 
   private:
-    std::mt19937_64 engine_;
+    /** Create the engine at the start of seed()'s stream. */
+    void buildEngine();
+
     std::uint64_t seed_;
+    std::unique_ptr<std::mt19937_64> engine_;  ///< null until drawn
 };
 
 } // namespace polca::sim

@@ -67,7 +67,7 @@ DomainManager::setDropoutProbability(double probability, sim::Rng rng)
         sim::fatal("DomainManager: dropout probability ", probability,
                    " outside [0,1)");
     dropoutProbability_ = probability;
-    dropoutRng_ = rng;
+    dropoutRng_ = std::move(rng);
 }
 
 void

@@ -1,11 +1,13 @@
 #include "telemetry/smbpbi.hh"
 
+#include <utility>
+
 namespace polca::telemetry {
 
 SmbpbiController::SmbpbiController(sim::Simulation &sim,
                                    ClockControllable &target,
                                    sim::Rng rng, Options options)
-    : sim_(sim), target_(target), rng_(rng), options_(options)
+    : sim_(sim), target_(target), rng_(std::move(rng)), options_(options)
 {
 }
 
@@ -56,9 +58,11 @@ SmbpbiController::issue(double lockMhz)
         ++*issuedStat_;
 
     // Loss is decided when the command hits the wire: an injected
-    // channel outage swallows it just like a stochastic failure.
+    // channel outage swallows it just like a stochastic failure.  A
+    // lossless channel never draws, so its stream is never built.
     bool drop = outage_ ||
-        rng_.bernoulli(options_.silentFailureProbability);
+        (options_.silentFailureProbability > 0.0 &&
+         rng_.bernoulli(options_.silentFailureProbability));
     sim::Tick issuedAt = sim_.now();
     pendingIssueTime_ = issuedAt;
     pending_ = sim_.queue().scheduleAfter(

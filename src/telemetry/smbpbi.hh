@@ -55,6 +55,11 @@ class ClockControllable
  * another is pending supersedes it.  Brake commands use the faster
  * dedicated path and are never dropped (the brake signal is a simple
  * hardware line).
+ *
+ * There is one channel per managed server, so a channel is small:
+ * its private stream decides silent failures, one bernoulli draw per
+ * command, and a channel whose silentFailureProbability is 0 never
+ * draws (nor does one in an outage), so its engine is never built.
  */
 class SmbpbiController
 {

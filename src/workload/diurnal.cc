@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -13,7 +14,7 @@ constexpr double pi = 3.14159265358979323846;
 } // namespace
 
 DiurnalModel::DiurnalModel(Params params, sim::Rng rng)
-    : params_(params), rng_(rng)
+    : params_(params), rng_(std::move(rng))
 {
     if (params_.baseUtilization <= 0.0)
         sim::fatal("DiurnalModel: non-positive base utilization");

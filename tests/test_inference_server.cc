@@ -13,10 +13,13 @@ namespace {
 
 struct Fixture
 {
-    Fixture()
+    explicit Fixture(std::size_t bufferSize = 1,
+                     std::size_t maxBatchSize = 1)
         : server(sim, polca::power::ServerSpec::dgxA100_80gb(),
-                 catalog.byName("BLOOM-176B"), Priority::Low, 0)
+                 catalog.byName("BLOOM-176B"), Priority::Low, 0,
+                 bufferSize)
     {
+        server.setMaxBatchSize(maxBatchSize);
         server.setCompletionCallback(
             [this](InferenceServer &,
                    const InferenceServer::Completion &c) {
@@ -35,12 +38,39 @@ struct Fixture
         return r;
     }
 
+    /** Request ids in completion order. */
+    std::vector<std::uint64_t>
+    completedIds() const
+    {
+        std::vector<std::uint64_t> ids;
+        for (const InferenceServer::Completion &c : completions)
+            ids.push_back(c.request.id);
+        return ids;
+    }
+
+    /** Run until @p n requests have completed (at most an hour). */
+    void
+    runUntilCompleted(std::size_t n)
+    {
+        for (int s = 0; s < 3600 && completions.size() < n; ++s)
+            sim.runFor(secondsToTicks(1));
+    }
+
     Simulation sim;
     polca::llm::ModelCatalog catalog;
     InferenceServer server;
     std::vector<InferenceServer::Completion> completions;
     std::uint64_t nextId = 0;
 };
+
+std::vector<std::uint64_t>
+idsFrom(std::uint64_t first, std::uint64_t count)
+{
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t i = 0; i < count; ++i)
+        ids.push_back(first + i);
+    return ids;
+}
 
 } // namespace
 
@@ -102,6 +132,96 @@ TEST(InferenceServer, BufferedRequestRunsAfterActive)
               f.completions[0].completionTime);
     // Second latency includes queueing.
     EXPECT_GT(f.completions[1].latency, f.completions[0].latency);
+}
+
+TEST(InferenceServer, BufferedRequestsCompleteInArrivalOrder)
+{
+    // Buffer 3, batches of up to 2, topped up from the completion
+    // callback: the buffer is pushed while partly consumed and
+    // drained many times over.
+    Fixture f(3, 2);
+    std::uint64_t submitted = 0;
+    auto submitWhileRoom = [&] {
+        while (submitted < 40 && f.server.canAccept()) {
+            f.server.submit(f.request(0, 1024, 64));
+            ++submitted;
+        }
+    };
+    f.server.setCompletionCallback(
+        [&](InferenceServer &server,
+            const InferenceServer::Completion &c) {
+            f.completions.push_back(c);
+            EXPECT_EQ(server.queueDepth(),
+                      submitted - server.completedRequests() -
+                          server.activeBatchSize());
+            submitWhileRoom();
+        });
+    submitWhileRoom();
+    EXPECT_EQ(f.server.activeBatchSize(), 1u);
+    EXPECT_EQ(f.server.queueDepth(), 3u);
+
+    f.runUntilCompleted(1);
+    EXPECT_EQ(f.server.activeBatchSize(), 2u);
+    EXPECT_EQ(f.server.queueDepth(), 3u);  // refilled by the callback
+
+    f.runUntilCompleted(40);
+    EXPECT_EQ(f.completedIds(), idsFrom(0, 40));
+    EXPECT_EQ(f.server.queueDepth(), 0u);
+    EXPECT_TRUE(f.server.idleNow());
+}
+
+TEST(InferenceServer, CrashDropsTheActiveBatchAndEveryBufferedRequest)
+{
+    Fixture f(3, 2);
+    for (int i = 0; i < 4; ++i)
+        f.server.submit(f.request(0, 1024, 64));
+    f.runUntilCompleted(1);
+    ASSERT_EQ(f.server.activeBatchSize(), 2u);
+    ASSERT_EQ(f.server.queueDepth(), 1u);
+
+    f.server.crash();
+    EXPECT_EQ(f.server.droppedRequests(), 3u);
+    EXPECT_EQ(f.server.queueDepth(), 0u);
+
+    // Back up, the server buffers and serves from empty.
+    f.server.restore();
+    for (int i = 0; i < 3; ++i)
+        f.server.submit(f.request(f.sim.now(), 1024, 64));
+    EXPECT_EQ(f.server.queueDepth(), 2u);
+    f.runUntilCompleted(4);
+    EXPECT_EQ(f.completedIds(), (std::vector<std::uint64_t>{0, 4, 5, 6}));
+    EXPECT_EQ(f.server.droppedRequests(), 3u);
+}
+
+TEST(InferenceServer, RestoredStateResumesBufferedRequestsInOrder)
+{
+    // Batches of one, so the two buffered requests run one after the
+    // other; the first buffered request has already been taken, so
+    // the saved buffer starts past its vector's first slot.
+    Fixture source(3, 1);
+    for (int i = 0; i < 4; ++i)
+        source.server.submit(source.request(0, 1024, 64));
+    source.runUntilCompleted(1);
+    ASSERT_EQ(source.server.queueDepth(), 2u);
+    InferenceServer::State state = source.server.saveState();
+    EventQueueState queueState = source.sim.queue().captureState();
+    ASSERT_EQ(state.buffer.size(), 2u);
+    EXPECT_EQ(state.buffer[0].id, 2u);
+    EXPECT_EQ(state.buffer[1].id, 3u);
+    source.runUntilCompleted(4);
+    ASSERT_EQ(source.completedIds(), idsFrom(0, 4));
+
+    Fixture branch(3, 1);
+    branch.sim.queue().beginRestore(queueState);
+    branch.server.restoreState(state);
+    branch.sim.queue().endRestore(1);
+    EXPECT_EQ(branch.server.queueDepth(), 2u);
+    branch.runUntilCompleted(3);
+    ASSERT_EQ(branch.completedIds(), idsFrom(1, 3));
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(branch.completions[i].completionTime,
+                  source.completions[i + 1].completionTime);
+    }
 }
 
 TEST(InferenceServer, PowerSpikyInPromptFlatInToken)

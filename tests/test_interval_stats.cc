@@ -297,9 +297,13 @@ TEST(IntervalStats, CellsMatchPrintfByteForByte)
 {
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
+    // Integral values below 2^53 in magnitude take the integer fast
+    // path; -0.0, +-2^53 and beyond, and non-finite values do not.
     const std::vector<double> values = {
         -0.0, 0.5,  1.5, 2.5, 9007199254740993.0, 1e300,
-        inf,  -inf, nan, -nan, 5e-324, -2.5, 0.0000005, 123.4567895};
+        inf,  -inf, nan, -nan, 5e-324, -2.5, 0.0000005, 123.4567895,
+        0.0, 1.0, -1.0, 9007199254740991.0, -9007199254740991.0,
+        9007199254740992.0, -9007199254740992.0, 123456789.0, 1e20};
 
     obs::MetricsRegistry gauges;
     obs::Gauge &v = gauges.gauge("v");

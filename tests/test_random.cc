@@ -2,10 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
 using namespace polca::sim;
+
+// The engine lives out of line until the first draw, so a stream that
+// is forked and never drawn costs a seed and a pointer.
+static_assert(sizeof(Rng) <= 32, "an Rng holds its engine out of line");
+
+namespace {
+
+/** @p rounds rounds of every draw an Rng offers, in order; the last
+ *  draw of a round is a Poisson through engine(). */
+std::vector<double>
+drawRounds(Rng &rng, int rounds)
+{
+    std::vector<double> out;
+    for (int i = 0; i < rounds; ++i) {
+        out.push_back(rng.uniform());
+        out.push_back(rng.uniform(-2.0, 7.0));
+        out.push_back(rng.normal(3.0, 2.0));
+        out.push_back(static_cast<double>(rng.uniformInt(-5, 1000)));
+        out.push_back(rng.bernoulli(0.3) ? 1.0 : 0.0);
+        out.push_back(static_cast<double>(
+            std::poisson_distribution<int>(4.5)(rng.engine())));
+    }
+    return out;
+}
+
+} // namespace
 
 TEST(Rng, SameSeedSameStream)
 {
@@ -25,11 +55,84 @@ TEST(Rng, DifferentSeedsDiffer)
 
 TEST(Rng, ReseedRestartsStream)
 {
-    Rng rng(7);
-    double first = rng.uniform();
-    rng.uniform();
-    rng.reseed(7);
-    EXPECT_DOUBLE_EQ(rng.uniform(), first);
+    Rng rng(5);
+    std::vector<double> first = drawRounds(rng, 10);
+    rng.reseed(5);
+    EXPECT_EQ(drawRounds(rng, 10), first);
+
+    rng.reseed(6);
+    Rng six(6);
+    EXPECT_EQ(rng.seed(), 6u);
+    EXPECT_EQ(drawRounds(rng, 10), drawRounds(six, 10));
+}
+
+TEST(Rng, CopiesContinueTheOriginalStreamDrawForDraw)
+{
+    Rng original(99);
+    Rng early = original;  // copied before the first draw
+    std::vector<double> first = drawRounds(original, 20);
+
+    // Copied after 20 rounds: by construction, by assignment over an
+    // Rng that has drawn (its engine is overwritten in place) and by
+    // assignment over one that has not.
+    Rng late = original;
+    Rng assignedOverDrawn(1);
+    (void)assignedOverDrawn.uniform();
+    assignedOverDrawn = original;
+    Rng assignedOverFresh(2);
+    assignedOverFresh = original;
+    Rng copyOfCopy = late;
+
+    std::vector<double> next = drawRounds(original, 20);
+    EXPECT_EQ(drawRounds(early, 20), first);
+    EXPECT_EQ(drawRounds(early, 20), next);
+    EXPECT_EQ(drawRounds(late, 20), next);
+    EXPECT_EQ(drawRounds(assignedOverDrawn, 20), next);
+    EXPECT_EQ(drawRounds(assignedOverFresh, 20), next);
+    EXPECT_EQ(drawRounds(copyOfCopy, 20), next);
+
+    // Drawing from a copy leaves the original where it was.
+    Rng probe = original;
+    (void)drawRounds(probe, 5);
+    Rng mirror = original;
+    EXPECT_EQ(drawRounds(original, 5), drawRounds(mirror, 5));
+}
+
+TEST(Rng, AssigningAnUndrawnRngRestartsItsStream)
+{
+    Rng drawn(3);
+    (void)drawRounds(drawn, 4);
+    const Rng undrawn(8);
+    drawn = undrawn;
+    Rng fresh(8);
+    EXPECT_EQ(drawn.seed(), 8u);
+    EXPECT_EQ(drawRounds(drawn, 10), drawRounds(fresh, 10));
+}
+
+TEST(Rng, MovedToRngContinuesTheStream)
+{
+    Rng original(12);
+    (void)drawRounds(original, 3);
+    Rng mirror = original;
+    Rng moved = std::move(original);
+    EXPECT_EQ(drawRounds(moved, 10), drawRounds(mirror, 10));
+}
+
+TEST(Rng, ForksOfADrawnRngEqualThoseOfAFreshOne)
+{
+    Rng drawn(1234);
+    (void)drawRounds(drawn, 5);
+    const Rng fresh(1234);
+
+    Rng drawnChild = drawn.fork(7);
+    Rng freshChild = fresh.fork(7);
+    EXPECT_EQ(drawnChild.seed(), freshChild.seed());
+    EXPECT_EQ(drawRounds(drawnChild, 10), drawRounds(freshChild, 10));
+
+    Rng drawnPath = drawn.forkPath("row-3");
+    Rng freshPath = fresh.forkPath("row-3");
+    EXPECT_EQ(drawnPath.seed(), freshPath.seed());
+    EXPECT_EQ(drawRounds(drawnPath, 10), drawRounds(freshPath, 10));
 }
 
 TEST(Rng, ForkIsIndependentOfParentDraws)

@@ -8,9 +8,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hh"
 #include "power/server_model.hh"
 
 using namespace polca::power;
+using polca::core::bitwiseEqual;
 
 TEST(ServerSpec, ProvisionedBreakdownSumsToRated)
 {
@@ -196,4 +198,60 @@ TEST(ServerModel, CachedDrawMatchesFreshModelAfterEveryMutator)
         }
         before = live.powerWatts();
     }
+}
+
+TEST(ServerModel, GpusShareOneSpecAndCopiesShareIt)
+{
+    ServerModel server(ServerSpec::dgxA100_80gb());
+    for (std::size_t i = 0; i < server.numGpus(); ++i)
+        EXPECT_EQ(&server.gpu(i).spec(), &server.gpu(0).spec());
+    EXPECT_EQ(server.gpu(0).spec().name, server.spec().gpu.name);
+    ServerModel copy = server;
+    EXPECT_EQ(&copy.gpu(0).spec(), &server.gpu(0).spec());
+}
+
+TEST(ServerModel, CopyDrawsBitwiseLikeTheOriginalAndStaysIndependent)
+{
+    ServerModel original(ServerSpec::dgxA100_80gb());
+    original.setActivityAll({0.4, 0.2});
+    (void)original.powerWatts();  // copy a filled cache
+    ServerModel copy = original;
+
+    using Step = std::function<void(ServerModel &)>;
+    const std::vector<Step> steps = {
+        [](ServerModel &s) { s.lockClockAll(1110.0); },
+        [](ServerModel &s) { s.setActivityAll({1.05, 0.5}); },
+        [](ServerModel &s) { s.setGpuActivity(3, {0.2, 0.9}); },
+        [](ServerModel &s) { s.setPowerBrakeAll(true); },
+        [](ServerModel &s) { s.setPowerBrakeAll(false); },
+        [](ServerModel &s) { s.unlockClockAll(); },
+        [](ServerModel &s) { s.setPowerCapAll(325.0); },
+        [](ServerModel &s) { s.stepCapControllers(); },
+        [](ServerModel &s) { s.stepCapControllers(); },
+        [](ServerModel &s) { s.clearPowerCapAll(); },
+    };
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+        SCOPED_TRACE(k);
+        steps[k](original);
+        steps[k](copy);
+        EXPECT_TRUE(bitwiseEqual(copy.powerWatts(), original.powerWatts()));
+        EXPECT_TRUE(
+            bitwiseEqual(copy.gpuPowerWatts(), original.gpuPowerWatts()));
+        EXPECT_TRUE(
+            bitwiseEqual(copy.hostPowerWatts(), original.hostPowerWatts()));
+    }
+
+    // Mutating the copy leaves the original's draw where it was.
+    double before = original.powerWatts();
+    copy.setActivityAll({0.1, 0.1});
+    copy.lockClockAll(800.0);
+    copy.setPowerCapAll(300.0);
+    copy.stepCapControllers();
+    EXPECT_NE(copy.powerWatts(), before);
+    EXPECT_TRUE(bitwiseEqual(original.powerWatts(), before));
+    ServerModel replay(ServerSpec::dgxA100_80gb());
+    replay.setActivityAll({0.4, 0.2});
+    for (const Step &step : steps)
+        step(replay);
+    EXPECT_TRUE(bitwiseEqual(replay.powerWatts(), before));
 }

@@ -152,3 +152,60 @@ TEST(Smbpbi, BrakeNeverDrops)
     f.sim.runFor(secondsToTicks(6));
     EXPECT_TRUE(f.target.powerBrakeEngaged());
 }
+
+TEST(Smbpbi, DropsAreTheCommandsTheChannelStreamRejects)
+{
+    // The channel draws one bernoulli per command on the stream it
+    // was built with, so a copy of that stream predicts every drop.
+    Fixture f;
+    SmbpbiController::Options options;
+    options.silentFailureProbability = 0.3;
+    options.commandLatency = secondsToTicks(1);
+    Rng rng(42);
+    Rng mirror = rng;
+    SmbpbiController smbpbi(f.sim, f.target, rng, options);
+    double appliedMhz = 0.0;
+    int drops = 0;
+    for (int i = 0; i < 200; ++i) {
+        SCOPED_TRACE(i);
+        bool dropped = mirror.bernoulli(0.3);
+        double mhz = i % 2 == 0 ? 1110.0 : 1275.0;
+        std::uint64_t before = smbpbi.commandsDropped();
+        smbpbi.requestClockLock(mhz);
+        f.sim.runFor(secondsToTicks(2));
+        EXPECT_EQ(smbpbi.commandsDropped() - before, dropped ? 1u : 0u);
+        if (!dropped)
+            appliedMhz = mhz;
+        drops += dropped;
+        EXPECT_DOUBLE_EQ(f.target.appliedClockLockMhz(), appliedMhz);
+    }
+    EXPECT_GT(drops, 0);
+    EXPECT_LT(drops, 200);
+}
+
+TEST(Smbpbi, LosslessChannelDropsOnlyCommandsIssuedInAnOutage)
+{
+    // At probability 0 only an outage loses commands, and loss is
+    // decided at issue: command 19 is issued inside the window and
+    // lands after it, and still drops.
+    Fixture f;
+    SmbpbiController::Options options;
+    options.commandLatency = secondsToTicks(1);
+    SmbpbiController smbpbi(f.sim, f.target, Rng(42), options);
+    for (int i = 0; i < 30; ++i) {
+        SCOPED_TRACE(i);
+        bool inside = i >= 10 && i < 20;
+        smbpbi.setOutage(inside);
+        double mhz = 1000.0 + i;
+        std::uint64_t before = smbpbi.commandsDropped();
+        smbpbi.requestClockLock(mhz);
+        if (i == 19)
+            smbpbi.setOutage(false);
+        f.sim.runFor(secondsToTicks(2));
+        EXPECT_EQ(smbpbi.commandsDropped() - before, inside ? 1u : 0u);
+        EXPECT_DOUBLE_EQ(f.target.appliedClockLockMhz(),
+                         inside ? 1009.0 : mhz);
+    }
+    EXPECT_EQ(smbpbi.commandsIssued(), 30u);
+    EXPECT_EQ(smbpbi.commandsDropped(), 10u);
+}
