@@ -27,6 +27,8 @@ main(int argc, char **argv)
                            "HP throughput (norm.)",
                            "LP completions", "HP completions"});
 
+    // The headline comparison reads the loop's +30 % row.
+    double headlineLp = 0.0, headlineHp = 0.0;
     for (double added : {0.0, 0.10, 0.20, 0.30, 0.40}) {
         ExperimentConfig config;
         config.row.addedServerFraction = added;
@@ -35,27 +37,24 @@ main(int argc, char **argv)
         ExperimentResult managed = runOversubExperiment(config);
         ExperimentResult base =
             runOversubExperiment(unthrottledBaseline(config));
+        double lp = managed.lowThroughput / base.lowThroughput;
+        double hp = managed.highThroughput / base.highThroughput;
+        if (added == 0.30) {
+            headlineLp = lp;
+            headlineHp = hp;
+        }
 
         table.row()
             .percentCell(added, 0)
-            .cell(managed.lowThroughput / base.lowThroughput, 4)
-            .cell(managed.highThroughput / base.highThroughput, 4)
+            .cell(lp, 4)
+            .cell(hp, 4)
             .cell(static_cast<long long>(managed.lowCompletions))
             .cell(static_cast<long long>(managed.highCompletions));
     }
     table.print(std::cout);
 
-    ExperimentConfig headline;
-    headline.row.addedServerFraction = 0.30;
-    headline.duration = options.horizon(1.0, 7.0);
-    headline.seed = options.seed;
-    ExperimentResult managed = runOversubExperiment(headline);
-    ExperimentResult base =
-        runOversubExperiment(unthrottledBaseline(headline));
     std::printf("\n");
-    bench::compare("LP throughput at +30%", ">= 0.98",
-                   managed.lowThroughput / base.lowThroughput);
-    bench::compare("HP throughput at +30%", "~1.00",
-                   managed.highThroughput / base.highThroughput);
+    bench::compare("LP throughput at +30%", ">= 0.98", headlineLp);
+    bench::compare("HP throughput at +30%", "~1.00", headlineHp);
     return 0;
 }

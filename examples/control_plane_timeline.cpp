@@ -63,14 +63,11 @@ makeConfig()
     config.duration = sim::secondsToTicks(6 * 3600.0);
     config.seed = 42;
     config.breakerLimitFraction = 1.05;
-    int numServers = static_cast<int>(
-        config.row.baseServers *
-        (1.0 + config.row.addedServerFraction));
     // A telemetry blackout makes the timeline interesting: the
     // manager goes blind mid-ramp and the watchdog's fail-safe
     // window shows up as an F mark.
     config.faultPlan = faults::scenarioByName(
-        "blackout", config.duration, numServers);
+        "blackout", config.duration, config.row.deployedServers());
     return config;
 }
 

@@ -60,29 +60,28 @@ sweepScenarios()
     base.seed = 42;
     base.breakerLimitFraction = 1.05;
 
-    int numServers = static_cast<int>(
-        base.row.baseServers * (1.0 + base.row.addedServerFraction));
+    int numServers = base.row.deployedServers();
 
     std::printf("Part 1: sweeping %zu fault scenarios x {watchdog "
                 "on, off} on a +30%% row\n(6 simulated hours "
                 "each)...\n\n",
-                faults::scenarioNames().size());
+                faults::faultScenarios().size());
 
     analysis::Table table({"Scenario", "Watchdog", "Brk trips",
                            "Near", "Overdraw kJ", "Fail-safe s",
                            "Brakes", "Drop rd", "Corrupt",
                            "Crash (req)"});
-    for (const std::string &name : faults::scenarioNames()) {
+    for (const faults::FaultScenario &scenario : faults::faultScenarios()) {
         for (bool watchdog : {true, false}) {
             core::ExperimentConfig config = base;
             config.faultPlan = faults::scenarioByName(
-                name, config.duration, numServers);
+                scenario.name, config.duration, numServers);
             config.manager.watchdogEnabled = watchdog;
 
             core::ExperimentResult result =
                 runOversubExperiment(config);
             table.row()
-                .cell(name)
+                .cell(scenario.name)
                 .cell(watchdog ? "on" : "off")
                 .cell(static_cast<long long>(result.breakerTrips))
                 .cell(static_cast<long long>(result.breakerNearTrips))

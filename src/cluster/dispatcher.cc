@@ -153,7 +153,7 @@ Dispatcher::scheduleArrival(std::size_t index)
     nextArrival_ = index;
     arrivalWhen_ = when;
     arrivalSeq_ = sim_.queue().post(
-        when, [this, index] { arrive(index); }, "arrival");
+        when, [this, index] { arrive(index); });
 }
 
 void
@@ -227,8 +227,7 @@ Dispatcher::restoreState(const State &state,
     arrivalSeq_ = state.arrivalSeq;
     std::size_t index = state.nextArrival;
     sim_.queue().rearmPost(state.arrivalWhen, state.arrivalSeq,
-                           [this, index] { arrive(index); },
-                           "arrival");
+                           [this, index] { arrive(index); });
 }
 
 InferenceServer *

@@ -245,7 +245,7 @@ InferenceServer::schedulePhaseEnd()
     auto wall = static_cast<sim::Tick>(
         active_->workRemaining * active_->slowdown + 0.5);
     active_->completionEvent = sim_.queue().scheduleAfter(
-        wall, [this] { phaseEnded(); }, "phase-end");
+        wall, [this] { phaseEnded(); });
 }
 
 void
@@ -391,7 +391,6 @@ InferenceServer::crash()
 {
     if (crashed_)
         return;
-    ++crashes_;
     crashed_ = true;
     std::uint64_t lost = buffer_.size();
     if (active_.has_value()) {
@@ -446,7 +445,6 @@ InferenceServer::saveState() const
     state.policyLockMhz = policyLockMhz_;
     state.phaseTokenClockMhz = phaseTokenClockMhz_;
     state.crashed = crashed_;
-    state.crashes = crashes_;
     state.droppedRequests = droppedRequests_;
     state.buffer = buffer_.requests();
     state.completed = completed_;
@@ -476,7 +474,6 @@ InferenceServer::restoreState(const State &state)
     policyLockMhz_ = state.policyLockMhz;
     phaseTokenClockMhz_ = state.phaseTokenClockMhz;
     crashed_ = state.crashed;
-    crashes_ = state.crashes;
     droppedRequests_ = state.droppedRequests;
     buffer_.assign(state.buffer);
     completed_ = state.completed;
@@ -493,7 +490,7 @@ InferenceServer::restoreState(const State &state)
         active_->serviceStart = state.active->serviceStart;
         active_->completionEvent = sim_.queue().rearmSchedule(
             state.active->completionWhen, state.active->completionSeq,
-            [this] { phaseEnded(); }, "phase-end");
+            [this] { phaseEnded(); });
     }
     powerChanged();
     availabilityChanged();

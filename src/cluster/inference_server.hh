@@ -226,8 +226,6 @@ class InferenceServer : public telemetry::ClockControllable
     /** @return true while crashed. */
     bool crashed() const { return crashed_; }
 
-    std::uint64_t crashCount() const { return crashes_; }
-
     /** Requests lost to crashes (in flight or buffered). */
     std::uint64_t droppedRequests() const { return droppedRequests_; }
     /** @} */
@@ -264,7 +262,6 @@ class InferenceServer : public telemetry::ClockControllable
         double policyLockMhz = 0.0;
         double phaseTokenClockMhz = 0.0;
         bool crashed = false;
-        std::uint64_t crashes = 0;
         std::uint64_t droppedRequests = 0;
         std::optional<BatchState> active;
         std::vector<workload::Request> buffer;  ///< in arrival order
@@ -366,7 +363,6 @@ class InferenceServer : public telemetry::ClockControllable
     double policyLockMhz_ = 0.0;     ///< lock commanded via OOB
     double phaseTokenClockMhz_ = 0.0;  ///< phase-aware token clock
     bool crashed_ = false;
-    std::uint64_t crashes_ = 0;
     std::uint64_t droppedRequests_ = 0;
 
     std::optional<ActiveBatch> active_;

@@ -29,8 +29,7 @@ PhaseSplitCluster::PhaseSplitCluster(sim::Simulation &sim,
                 workload::Request tokenStage = c.request;
                 sim_.queue().postAfter(
                     sim::msToTicks(ms),
-                    [this, tokenStage] { routeToken(tokenStage); },
-                    "kv-transfer");
+                    [this, tokenStage] { routeToken(tokenStage); });
                 drain(promptQueue_, promptPool_, false);
             });
     }
@@ -58,7 +57,7 @@ PhaseSplitCluster::injectTrace(const workload::Trace &trace)
     sim::Tick when =
         std::max(trace.requests().front().arrival, sim_.now());
     sim_.queue().post(
-        when, [this, &trace] { arrive(trace, 0); }, "arrival");
+        when, [this, &trace] { arrive(trace, 0); });
 }
 
 void
@@ -71,8 +70,7 @@ PhaseSplitCluster::arrive(const workload::Trace &trace,
         sim::Tick when = std::max(trace.requests()[next].arrival,
                                   sim_.now());
         sim_.queue().post(
-            when, [this, &trace, next] { arrive(trace, next); },
-            "arrival");
+            when, [this, &trace, next] { arrive(trace, next); });
     }
 }
 

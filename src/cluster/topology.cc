@@ -34,20 +34,12 @@ effectiveModelSpec(const RowConfig &row)
     return llm::ModelCatalog().byName(row.modelName);
 }
 
-power::ServerSpec
-serverSpecForPreset(const std::string &preset)
+int
+RowConfig::deployedServers() const
 {
-    if (preset == "DGX-A100-80GB")
-        return power::ServerSpec::dgxA100_80gb();
-    if (preset == "DGX-A100-40GB")
-        return power::ServerSpec::dgxA100_40gb();
-    if (preset == "DGX-H100")
-        return power::ServerSpec::dgxH100();
-    sim::fatal("topology: unknown server preset '", preset, "'");
-    return power::ServerSpec::dgxA100_80gb();  // unreachable
+    return baseServers +
+        static_cast<int>(std::lround(addedServerFraction * baseServers));
 }
-
-namespace {
 
 bool
 validGroupName(const std::string &name)
@@ -61,6 +53,8 @@ validGroupName(const std::string &name)
     }
     return true;
 }
+
+namespace {
 
 /** Build server @p id with the row-scope knobs of @p shared, register
  *  it with @p dispatcher, and adopt it as a leaf of @p parent. */
@@ -118,7 +112,7 @@ Site::Site(sim::Simulation &sim, const TopologyConfig &config,
     root_ = std::make_unique<PowerDomain>(sim, siteOptions);
 
     for (const TopologyRowGroup &group : config.groups) {
-        power::ServerSpec spec = serverSpecForPreset(group.server);
+        power::ServerSpec spec = power::ServerSpec::byName(group.server);
         llm::ModelSpec model = catalog.byName(group.model);
         int serversPerRow = group.racksPerRow * group.serversPerRack;
         double rowBudget = config.rowBudgetFraction *
@@ -232,8 +226,7 @@ Site::Site(sim::Simulation &sim, const RowConfig &row, sim::Rng rng,
             row.telemetryDropoutProbability, siteRow.rng.fork(0xD80));
     }
 
-    int total = row.baseServers + static_cast<int>(std::lround(
-        row.addedServerFraction * row.baseServers));
+    int total = row.deployedServers();
     std::vector<workload::Priority> priorities =
         allocatePriorities(total, row.lpServerFraction);
     for (int i = 0; i < total; ++i) {

@@ -93,6 +93,10 @@ struct RowConfig
     /** Probability each 2 s row reading is silently dropped
      *  (OOB telemetry unreliability, Section 3.3). */
     double telemetryDropoutProbability = 0.0;
+
+    /** Servers the row deploys: the base plus the added fraction of
+     *  it, rounded to the nearest server. */
+    int deployedServers() const;
 };
 
 /** The model @p row serves: its override when set, else the catalog
@@ -117,7 +121,7 @@ struct TopologyRowGroup
     int racksPerRow = 4;
     int serversPerRack = 10;
 
-    /** Server preset (DGX-A100-80GB | DGX-A100-40GB | DGX-H100). */
+    /** Server preset (power::ServerSpec::byName). */
     std::string server = "DGX-A100-80GB";
 
     /** Catalog model served by every endpoint in the group. */
@@ -165,9 +169,9 @@ struct TopologyConfig
     int numServers() const;
 };
 
-/** Resolve a server preset name; fatal on unknown names (the
- *  scenario layer validates with a diagnostic first). */
-power::ServerSpec serverSpecForPreset(const std::string &preset);
+/** True when @p name is a valid TopologyRowGroup::name: non-empty
+ *  lowercase [a-z0-9_], safe inside a dotted metric path. */
+bool validGroupName(const std::string &name);
 
 /**
  * Owns the power-domain tree plus the per-row dispatchers.  The tree

@@ -616,4 +616,12 @@ nearestKey(const std::string &key,
     return best;
 }
 
+std::string
+didYouMean(const std::string &key,
+           const std::vector<std::string> &candidates)
+{
+    std::string near = nearestKey(key, candidates);
+    return near.empty() ? near : " (did you mean '" + near + "'?)";
+}
+
 } // namespace polca::config

@@ -142,5 +142,10 @@ ConfigNode parseConfigFile(const std::string &path, Diagnostics &diag);
 std::string nearestKey(const std::string &key,
                        const std::vector<std::string> &candidates);
 
+/** " (did you mean '<nearest>'?)" for @p key among @p candidates, or
+ *  "" when nothing is close (nearestKey()). */
+std::string didYouMean(const std::string &key,
+                       const std::vector<std::string> &candidates);
+
 } // namespace polca::config
 

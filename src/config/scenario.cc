@@ -4,11 +4,11 @@
 #include <charconv>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
-#include <type_traits>
 
 #include "core/thread_pool.hh"
-#include "core/workload_aware.hh"
 #include "obs/manifest.hh"
 
 namespace polca::config {
@@ -81,68 +81,124 @@ optionalNumber(const ConfigNode &section, const std::string &key,
     return true;
 }
 
+/** The entry of @p presets named @p name, or nullptr. */
+template <typename Preset>
+const Preset *
+findPreset(const std::vector<Preset> &presets, const std::string &name)
+{
+    for (const Preset &preset : presets) {
+        if (preset.name == name)
+            return &preset;
+    }
+    return nullptr;
+}
+
+/** The names of @p presets joined with '|', for diagnostics. */
+template <typename Preset>
+std::string
+presetNames(const std::vector<Preset> &presets)
+{
+    std::string names;
+    for (const Preset &preset : presets) {
+        if (!names.empty())
+            names += '|';
+        names += preset.name;
+    }
+    return names;
+}
+
+/**
+ * Bind the `[[path]]` tables of @p list, path being @p schema's name.
+ * Each entry is applied over a value-initialized T, with every key
+ * required when @p requireAll, and handed to @p add with its source
+ * node; @p add keeps it and reports its problems at that node's line.
+ * Anything reported clears @p ok.
+ * @return false when @p list is not a list at all.
+ */
+template <typename T, typename Add>
+bool
+bindTables(const ConfigNode &list, const StructSchema<T> &schema,
+           bool requireAll, bool &ok, Diagnostics &diag, Add add)
+{
+    const std::string &path = schema.name();
+    std::size_t reported = diag.errors().size();
+    if (list.kind != ConfigNode::Kind::List) {
+        diag.error(list.loc, path + " must be a list of [[" + path +
+                   "]] tables");
+        ok = false;
+        return false;
+    }
+    for (const ConfigNode &item : list.items) {
+        T entry{};
+        if (item.kind != ConfigNode::Kind::Section) {
+            diag.error(item.loc, "[[" + path + "]] entries must be "
+                       "tables");
+        } else if ((!requireAll ||
+                    requireKeys(item, "[[" + path + "]]", schema.keys(),
+                                diag)) &&
+                   schema.apply(item, entry, diag)) {
+            add(item, entry);
+        }
+    }
+    if (diag.errors().size() != reported)
+        ok = false;
+    return true;
+}
+
+/** Bind @p section over @p spec: the entry of @p presets (@p family)
+ *  its `preset` key names, if any, then its own fields but @p nested.
+ *  Failures clear @p ok; @return false when it is not a section. */
+template <typename Spec>
+bool
+bindPresetSection(const ConfigNode &section,
+                  const StructSchema<Spec> &schema,
+                  const std::vector<Spec> &presets,
+                  const std::string &family, Spec &spec,
+                  const std::set<std::string> &nested, bool &ok,
+                  Diagnostics &diag)
+{
+    if (section.kind != ConfigNode::Kind::Section) {
+        diag.error(section.loc, "[" + schema.name() +
+                   "] must be a section");
+        return false;
+    }
+    std::string name;
+    if (!optionalString(section, "preset", name, diag))
+        ok = false;
+    if (!name.empty()) {
+        if (const Spec *preset = findPreset(presets, name)) {
+            spec = *preset;
+        } else {
+            diag.error(section.find("preset")->loc,
+                       "unknown " + family + " preset '" + name +
+                       "' (use " + presetNames(presets) + ")");
+            ok = false;
+        }
+    }
+    if (!schema.apply(section, spec, diag, nested))
+        ok = false;
+    return true;
+}
+
 bool
 bindRow(const ConfigNode &rowSection, cluster::RowConfig &row,
         Diagnostics &diag)
 {
     bool ok = rowConfigSchema().apply(rowSection, row, diag,
                                       {"server"});
-
-    if (const ConfigNode *server = rowSection.find("server")) {
-        if (server->kind != ConfigNode::Kind::Section) {
-            diag.error(server->loc, "[row.server] must be a section");
-            return false;
-        }
-        std::string preset;
-        if (!optionalString(*server, "preset", preset, diag))
-            ok = false;
-        if (!preset.empty()) {
-            if (preset == "DGX-A100-80GB") {
-                row.serverSpec = power::ServerSpec::dgxA100_80gb();
-            } else if (preset == "DGX-A100-40GB") {
-                row.serverSpec = power::ServerSpec::dgxA100_40gb();
-            } else if (preset == "DGX-H100") {
-                row.serverSpec = power::ServerSpec::dgxH100();
-            } else {
-                diag.error(server->find("preset")->loc,
-                           "unknown server preset '" + preset +
-                           "' (use DGX-A100-80GB|DGX-A100-40GB|"
-                           "DGX-H100)");
-                ok = false;
-            }
-        }
-        if (!serverSpecSchema().apply(*server, row.serverSpec, diag,
-                                      {"preset", "gpu"}))
-            ok = false;
-
-        if (const ConfigNode *gpu = server->find("gpu")) {
-            if (gpu->kind != ConfigNode::Kind::Section) {
-                diag.error(gpu->loc,
-                           "[row.server.gpu] must be a section");
-                return false;
-            }
-            std::string gpuPreset;
-            if (!optionalString(*gpu, "preset", gpuPreset, diag))
-                ok = false;
-            if (!gpuPreset.empty()) {
-                if (gpuPreset == "A100-80GB" ||
-                    gpuPreset == "A100-40GB" ||
-                    gpuPreset == "H100-80GB") {
-                    row.serverSpec.gpu =
-                        power::GpuSpec::byName(gpuPreset);
-                } else {
-                    diag.error(gpu->find("preset")->loc,
-                               "unknown GPU preset '" + gpuPreset +
-                               "' (use A100-80GB|A100-40GB|"
-                               "H100-80GB)");
-                    ok = false;
-                }
-            }
-            if (!gpuSpecSchema().apply(*gpu, row.serverSpec.gpu, diag,
-                                       {"preset"}))
-                ok = false;
-        }
-    }
+    const ConfigNode *server = rowSection.find("server");
+    if (!server)
+        return ok;
+    if (!bindPresetSection(*server, serverSpecSchema(),
+                           power::ServerSpec::presets(), "server",
+                           row.serverSpec, {"preset", "gpu"}, ok, diag))
+        return false;
+    const ConfigNode *gpu = server->find("gpu");
+    if (gpu && !bindPresetSection(*gpu, gpuSpecSchema(),
+                                  power::GpuSpec::presets(), "GPU",
+                                  row.serverSpec.gpu, {"preset"}, ok,
+                                  diag))
+        return false;
     return ok;
 }
 
@@ -215,8 +271,7 @@ bindPolicy(const ConfigNode &root, const cluster::RowConfig &row,
     if (!optionalString(*section, "preset", preset, diag))
         ok = false;
 
-    double t1 = 0.80, t2 = 0.89, t1LockMhz = 1275.0;
-    double threshold = 0.89;
+    double t1 = 0.80, t2 = 0.89, t1LockMhz = 1275.0, threshold = 0.89;
     bool hasPolcaParams = section->has("t1") || section->has("t2") ||
         section->has("t1_lock_mhz");
     bool hasThreshold = section->has("threshold");
@@ -231,25 +286,16 @@ bindPolicy(const ConfigNode &root, const cluster::RowConfig &row,
                         threshold, diag))
         ok = false;
 
-    if (preset == "polca") {
-        policy = core::PolicyConfig::polca(t1, t2, t1LockMhz);
-    } else if (preset == "1tlp") {
-        policy = core::PolicyConfig::oneThreshLowPri(threshold);
-    } else if (preset == "1tall") {
-        policy = core::PolicyConfig::oneThreshAll(threshold);
-    } else if (preset == "nocap") {
-        policy = core::PolicyConfig::noCap();
-    } else if (preset == "aware") {
-        policy = core::workloadAwarePolicy(cluster::effectiveModelSpec(row));
-    } else if (preset == "none") {
-        policy = core::PolicyConfig{};
-    } else {
+    std::optional<core::PolicyConfig> resolved = core::policyPreset(
+        preset, row, t1, t2, t1LockMhz, threshold);
+    if (!resolved) {
         const ConfigNode *presetNode = section->find("preset");
         diag.error(presetNode ? presetNode->loc : section->loc,
-                   "unknown policy preset '" + preset +
-                   "' (use polca|1tlp|1tall|nocap|aware|none)");
+                   "unknown policy preset '" + preset + "' (use " +
+                   core::policyPresetNames() + ")");
         return false;
     }
+    policy = std::move(*resolved);
     if (hasPolcaParams && preset != "polca") {
         diag.error(section->loc, "policy t1/t2/t1_lock_mhz only apply "
                    "to the polca preset (got '" + preset + "')");
@@ -268,33 +314,18 @@ bindPolicy(const ConfigNode &root, const cluster::RowConfig &row,
         ok = false;
 
     if (const ConfigNode *rules = section->find("rules")) {
-        if (rules->kind != ConfigNode::Kind::List) {
-            diag.error(rules->loc, "policy.rules must be a list of "
-                       "[[policy.rules]] tables");
-            return false;
-        }
         policy.rules.clear();
-        for (const ConfigNode &item : rules->items) {
-            if (item.kind != ConfigNode::Kind::Section) {
-                diag.error(item.loc, "[[policy.rules]] entries must "
-                           "be tables");
-                ok = false;
-                continue;
-            }
-            core::ThresholdRule rule{};
-            if (!requireKeys(item, "[[policy.rules]]",
-                             thresholdRuleSchema().keys(), diag) ||
-                !thresholdRuleSchema().apply(item, rule, diag)) {
-                ok = false;
-                continue;
-            }
+        auto add = [&](const ConfigNode &item,
+                       const core::ThresholdRule &rule) {
             if (rule.uncapFraction >= rule.capFraction) {
                 diag.error(item.loc, "policy rule '" + rule.name +
                            "': uncap_at must sit below cap_at");
-                ok = false;
             }
             policy.rules.push_back(rule);
-        }
+        };
+        if (!bindTables(*rules, thresholdRuleSchema(), true, ok, diag,
+                        add))
+            return false;
     }
 
     if (policy.powerBrakeReleaseFraction >=
@@ -325,37 +356,19 @@ bindWorkload(const ConfigNode &root, core::ExperimentConfig &config,
             if (!diurnalSchema().apply(node, config.diurnal, diag))
                 ok = false;
         } else if (key == "mix") {
-            if (node.kind != ConfigNode::Kind::List) {
-                diag.error(node.loc, "workload.mix must be a list of "
-                           "[[workload.mix]] tables");
-                ok = false;
-                continue;
-            }
             std::vector<workload::WorkloadSpec> mix;
             double totalTraffic = 0.0;
-            for (const ConfigNode &item : node.items) {
-                if (item.kind != ConfigNode::Kind::Section) {
-                    diag.error(item.loc, "[[workload.mix]] entries "
-                               "must be tables");
-                    ok = false;
-                    continue;
-                }
-                workload::WorkloadSpec spec{};
-                if (!requireKeys(item, "[[workload.mix]]",
-                                 workloadSpecSchema().keys(), diag) ||
-                    !workloadSpecSchema().apply(item, spec, diag)) {
-                    ok = false;
-                    continue;
-                }
+            auto add = [&](const ConfigNode &item,
+                           const workload::WorkloadSpec &spec) {
                 if (spec.promptMax < spec.promptMin ||
                     spec.outputMax < spec.outputMin) {
                     diag.error(item.loc, "workload '" + spec.name +
                                "': max token counts must be >= min");
-                    ok = false;
                 }
                 totalTraffic += spec.trafficFraction;
                 mix.push_back(spec);
-            }
+            };
+            bindTables(node, workloadSpecSchema(), true, ok, diag, add);
             if (ok && !mix.empty()) {
                 if (std::abs(totalTraffic - 1.0) > 1e-3) {
                     diag.error(node.loc, "workload.mix traffic "
@@ -368,13 +381,9 @@ bindWorkload(const ConfigNode &root, core::ExperimentConfig &config,
                 }
             }
         } else {
-            std::string near =
-                nearestKey(key, {"diurnal", "mix"});
             diag.error(node.loc, "unknown key '" + key +
                        "' in [workload]" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
+                       didYouMean(key, {"diurnal", "mix"}));
             ok = false;
         }
     }
@@ -398,23 +407,18 @@ bindFaults(const ConfigNode &root, core::ExperimentConfig &config,
     if (!optionalString(*section, "scenario", scenario, diag))
         ok = false;
     if (!scenario.empty()) {
-        const std::vector<std::string> &names =
-            faults::scenarioNames();
+        std::vector<std::string> names;
+        for (const faults::FaultScenario &known : faults::faultScenarios())
+            names.push_back(known.name);
         if (std::find(names.begin(), names.end(), scenario) ==
             names.end()) {
-            std::string near = nearestKey(scenario, names);
             diag.error(section->find("scenario")->loc,
                        "unknown fault scenario '" + scenario + "'" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
+                       didYouMean(scenario, names));
             return false;
         }
-        int deployed = static_cast<int>(std::lround(
-            config.row.baseServers *
-            (1.0 + config.row.addedServerFraction)));
         config.faultPlan = faults::scenarioByName(
-            scenario, config.duration, deployed);
+            scenario, config.duration, config.row.deployedServers());
     }
 
     // Explicit windows/settings extend (or refine) the preset.
@@ -432,42 +436,19 @@ bindFaults(const ConfigNode &root, core::ExperimentConfig &config,
         // the section after binding.
         auto bindList = [&](auto &plan, const auto &schema,
                             auto check) {
-            if (node.kind != ConfigNode::Kind::List) {
-                diag.error(node.loc, "faults." + key +
-                           " must be a list of [[faults." + key +
-                           "]] tables");
-                ok = false;
-                return;
-            }
-            for (const ConfigNode &item : node.items) {
-                if (item.kind != ConfigNode::Kind::Section) {
-                    diag.error(item.loc, "[[faults." + key +
-                               "]] entries must be tables");
-                    ok = false;
-                    continue;
-                }
-                typename std::remove_reference_t<
-                    decltype(plan)>::value_type entry{};
-                if (!requireKeys(item, "[[faults." + key + "]]",
-                                 schema.keys(), diag) ||
-                    !schema.apply(item, entry, diag)) {
-                    ok = false;
-                    continue;
-                }
+            auto add = [&](const ConfigNode &item, const auto &entry) {
                 std::string problem = check(entry);
-                if (!problem.empty()) {
-                    diag.error(item.loc, "[[faults." + key + "]]: " +
-                               problem);
-                    ok = false;
-                    continue;
-                }
-                plan.push_back(entry);
-            }
+                if (problem.empty())
+                    plan.push_back(entry);
+                else
+                    diag.error(item.loc, "[[" + schema.name() +
+                               "]]: " + problem);
+            };
+            bindTables(node, schema, true, ok, diag, add);
         };
         auto windowCheck = [](const auto &entry) -> std::string {
-            if (entry.duration <= 0)
-                return "zero-length window (duration must be > 0)";
-            return {};
+            return entry.duration > 0
+                ? "" : "zero-length window (duration must be > 0)";
         };
         if (key == "blackouts") {
             bindList(config.faultPlan.blackouts, blackoutSchema(),
@@ -503,15 +484,12 @@ bindFaults(const ConfigNode &root, core::ExperimentConfig &config,
                          return {};
                      });
         } else {
-            std::string near = nearestKey(
-                key, {"scenario", "bursty_loss", "blackouts",
-                      "sensor_faults", "oob_outages", "crashes",
-                      "controller_crashes"});
             diag.error(node.loc, "unknown key '" + key +
                        "' in [faults]" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
+                       didYouMean(key, {"scenario", "bursty_loss",
+                                        "blackouts", "sensor_faults",
+                                        "oob_outages", "crashes",
+                                        "controller_crashes"}));
             ok = false;
         }
     }
@@ -525,20 +503,6 @@ bindFaults(const ConfigNode &root, core::ExperimentConfig &config,
         }
     }
     return ok;
-}
-
-/** True when the group name is safe inside a dotted metric path. */
-bool
-validGroupName(const std::string &name)
-{
-    if (name.empty())
-        return false;
-    for (char c : name) {
-        if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-              c == '_'))
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -557,59 +521,38 @@ bindTopology(const ConfigNode &root, core::ExperimentConfig &config,
                                            diag, {"rows"});
 
     if (const ConfigNode *rows = section->find("rows")) {
-        if (rows->kind != ConfigNode::Kind::List) {
-            diag.error(rows->loc, "topology.rows must be a list of "
-                       "[[topology.rows]] tables");
-            return false;
-        }
         llm::ModelCatalog catalog;
-        config.topology.groups.clear();
-        for (const ConfigNode &item : rows->items) {
-            if (item.kind != ConfigNode::Kind::Section) {
-                diag.error(item.loc, "[[topology.rows]] entries must "
-                           "be tables");
-                ok = false;
-                continue;
+        std::vector<cluster::TopologyRowGroup> &groups =
+            config.topology.groups;
+        groups.clear();
+        auto add = [&](const ConfigNode &item,
+                       const cluster::TopologyRowGroup &group) {
+            auto fail = [&](const std::string &problem) {
+                diag.error(item.loc, "[[topology.rows]] " + problem);
+            };
+            if (!cluster::validGroupName(group.name)) {
+                fail("name '" + group.name + "' must be lowercase "
+                     "[a-z0-9_] (it becomes a metric-path segment)");
             }
-            cluster::TopologyRowGroup group{};
-            if (!topologyRowGroupSchema().apply(item, group, diag)) {
-                ok = false;
-                continue;
-            }
-            if (!validGroupName(group.name)) {
-                diag.error(item.loc, "[[topology.rows]] name '" +
-                           group.name + "' must be lowercase "
-                           "[a-z0-9_] (it becomes a metric-path "
-                           "segment)");
-                ok = false;
-            }
-            if (group.server != "DGX-A100-80GB" &&
-                group.server != "DGX-A100-40GB" &&
-                group.server != "DGX-H100") {
-                diag.error(item.loc, "[[topology.rows]] '" +
-                           group.name + "': unknown server preset '" +
-                           group.server + "' (use DGX-A100-80GB|"
-                           "DGX-A100-40GB|DGX-H100)");
-                ok = false;
+            const auto &servers = power::ServerSpec::presets();
+            if (!findPreset(servers, group.server)) {
+                fail("'" + group.name + "': unknown server preset '" +
+                     group.server + "' (use " + presetNames(servers) +
+                     ")");
             }
             if (!catalog.contains(group.model)) {
-                diag.error(item.loc, "[[topology.rows]] '" +
-                           group.name + "': unknown model '" +
-                           group.model + "' (not in the Table 3 "
-                           "catalog)");
-                ok = false;
+                fail("'" + group.name + "': unknown model '" +
+                     group.model + "' (not in the Table 3 catalog)");
             }
-            for (const cluster::TopologyRowGroup &other :
-                 config.topology.groups) {
-                if (other.name == group.name) {
-                    diag.error(item.loc, "[[topology.rows]] "
-                               "duplicate group name '" + group.name +
-                               "'");
-                    ok = false;
-                }
+            for (const cluster::TopologyRowGroup &other : groups) {
+                if (other.name == group.name)
+                    fail("duplicate group name '" + group.name + "'");
             }
-            config.topology.groups.push_back(group);
-        }
+            groups.push_back(group);
+        };
+        if (!bindTables(*rows, topologyRowGroupSchema(), false, ok, diag,
+                        add))
+            return false;
     }
 
     if (config.topology.enabled) {
@@ -622,12 +565,7 @@ bindTopology(const ConfigNode &root, core::ExperimentConfig &config,
         // and chaos machinery does not apply to it (yet).  Reject
         // *armed* plans rather than section presence so a resolved
         // dump (which always emits [chaos]) still reparses.
-        const faults::FaultPlan &plan = config.faultPlan;
-        bool hasFaults = plan.burstyLoss.enabled ||
-            !plan.blackouts.empty() || !plan.sensorFaults.empty() ||
-            !plan.oobOutages.empty() || !plan.crashes.empty() ||
-            !plan.controllerCrashes.empty();
-        if (hasFaults) {
+        if (!config.faultPlan.empty()) {
             diag.error(section->loc, "[topology]: site mode does not "
                        "support fault injection ([faults])");
             ok = false;
@@ -657,15 +595,12 @@ bindExperiment(const ConfigNode &root, core::ExperimentConfig &config,
         const std::vector<std::string> &known = topLevelSections();
         if (std::find(known.begin(), known.end(), key) ==
             known.end()) {
-            std::string near = nearestKey(key, known);
             diag.error(node.loc, "unknown top-level " +
                        std::string(node.kind ==
                                            ConfigNode::Kind::Section
                                        ? "section ["
                                        : "entry [") + key + "]" +
-                       (near.empty() ? ""
-                                     : " (did you mean '" + near +
-                                           "'?)"));
+                       didYouMean(key, known));
             ok = false;
         }
     }
@@ -982,40 +917,162 @@ loadScenarioFile(const std::string &path,
 
 namespace {
 
-/** Section header + schema dump with provenance from the source
- *  tree. */
+using Config = core::ExperimentConfig;
+using Keys = std::set<std::string>;
+
+const char kDumpPreamble[] =
+    "# polcasim effective configuration (fully resolved: "
+    "defaults + file + CLI + sweep)\n"
+    "# Provenance per value: default | <file>:<line> | cli | "
+    "sweep | preset:<name>\n"
+    "# Rerun with: polcactl run --scenario-file <this file>\n"
+    "\n";
+
+/** Where a section dumps to, and from what. */
+struct Dump
+{
+    std::ostream &os;
+    const Config &c;        ///< the resolved configuration
+    const ConfigNode &src;  ///< the effective source tree
+    const Keys &omit;       ///< keys to leave out
+};
+
+/** `[path]` and the fields of @p obj, path being @p schema's name.  A
+ *  value's provenance is its origin in the source at that path,
+ *  @p fallback where the source does not set it. */
 template <typename T>
 void
-dumpSection(std::ostream &os, const std::string &header, const T &obj,
-            const StructSchema<T> &schema, const ConfigNode &source,
-            const std::string &sourcePath,
-            const std::string &fallbackOrigin = "default")
+one(const Dump &d, const StructSchema<T> &schema, const T &obj,
+    const std::string &fallback = "default")
 {
-    os << "[" << header << "]\n";
-    const ConfigNode *section = source.findPath(sourcePath);
-    schema.dump(obj, section, os, fallbackOrigin);
-    os << "\n";
+    d.os << "[" << schema.name() << "]\n";
+    schema.dump(obj, d.src.findPath(schema.name()), d.os, fallback,
+                d.omit);
+    d.os << "\n";
 }
 
-/** Array-of-tables dump: one [[header]] block per element. */
+/** One `[[path]]` block per element of @p items, as one() writes a
+ *  section; element i takes its provenance from element i of the
+ *  source list. */
 template <typename T>
 void
-dumpBlocks(std::ostream &os, const std::string &header,
-           const std::vector<T> &items, const StructSchema<T> &schema,
-           const ConfigNode &source, const std::string &sourcePath,
-           const std::string &fallbackOrigin)
+each(const Dump &d, const StructSchema<T> &schema,
+     const std::vector<T> &items, const std::string &fallback = "default")
 {
-    const ConfigNode *list = source.findPath(sourcePath);
+    const ConfigNode *list = d.src.findPath(schema.name());
     for (std::size_t i = 0; i < items.size(); ++i) {
         const ConfigNode *element = nullptr;
         if (list && list->kind == ConfigNode::Kind::List &&
             i < list->items.size() &&
             list->items[i].kind == ConfigNode::Kind::Section)
             element = &list->items[i];
-        os << "[[" << header << "]]\n";
-        schema.dump(items[i], element, os, fallbackOrigin);
-        os << "\n";
+        d.os << "[[" << schema.name() << "]]\n";
+        schema.dump(items[i], element, d.os, fallback, d.omit);
+        d.os << "\n";
     }
+}
+
+/** Provenance of fault values the source leaves unset: the
+ *  `[faults] scenario` preset that made them, if any. */
+std::string
+faultOrigin(const Dump &d)
+{
+    const ConfigNode *scenario = d.src.findPath("faults.scenario");
+    std::string name, err;
+    if (scenario && parseStringToken(scenario->raw, name, err))
+        return "preset:" + name;
+    return "default";
+}
+
+/** One section of the resolved configuration: how it dumps (one()
+ *  struct or each() element, with its provenance fallback), and what
+ *  of it only configures the control plane or post-run reporting,
+ *  which warmupDigest() leaves out: that plane does not exist before
+ *  t = warmup. */
+struct ResolvedSection
+{
+    void (*dump)(const Dump &d);
+    bool controlPlane = false;  ///< the whole section
+    Keys controlKeys = {};      ///< keys of a physical section
+};
+
+/** Every section of the resolved dump, in dump order. */
+const std::vector<ResolvedSection> &
+resolvedSections()
+{
+    static const std::vector<ResolvedSection> sections = {
+        {[](const Dump &d) { one(d, experimentSchema(), d.c); },
+         false, {"managed", "record_row_series"}},
+        {[](const Dump &d) { one(d, rowConfigSchema(), d.c.row); }},
+        {[](const Dump &d) {
+             const power::ServerSpec &server = d.c.row.serverSpec;
+             one(d, serverSpecSchema(), server, "preset:" + server.name);
+         }},
+        {[](const Dump &d) {
+             const power::GpuSpec &gpu = d.c.row.serverSpec.gpu;
+             one(d, gpuSpecSchema(), gpu, "preset:" + gpu.name);
+         }},
+        {[](const Dump &d) {
+             llm::ModelSpec model = cluster::effectiveModelSpec(d.c.row);
+             one(d, modelSpecSchema(), model, "catalog:" + model.name);
+         }},
+        // Preset "none" plus the explicit resolved rules, so reparsing
+        // rebuilds the exact rule set with no preset involved.
+        {[](const Dump &d) {
+             const ConfigNode *section = d.src.findPath("policy");
+             const ConfigNode *preset = d.src.findPath("policy.preset");
+             d.os << "[policy]\npreset = \"none\"  # resolved\n";
+             policyConfigSchema().dump(
+                 d.c.policy, section, d.os,
+                 !section ? "default"
+                          : preset ? "preset (" + preset->origin + ")"
+                                   : "preset",
+                 d.omit);
+             d.os << "\n";
+         }, true},
+        {[](const Dump &d) {
+             each(d, thresholdRuleSchema(), d.c.policy.rules,
+                  "preset:" + d.c.policy.name);
+         }, true},
+        {[](const Dump &d) { one(d, managerOptionsSchema(), d.c.manager); },
+         true},
+        {[](const Dump &d) { one(d, diurnalSchema(), d.c.diurnal); }},
+        {[](const Dump &d) { each(d, workloadSpecSchema(), d.c.mix); }},
+        {[](const Dump &d) {
+             one(d, burstyLossSchema(), d.c.faultPlan.burstyLoss,
+                 faultOrigin(d));
+         }, true},
+        {[](const Dump &d) {
+             each(d, blackoutSchema(), d.c.faultPlan.blackouts,
+                  faultOrigin(d));
+         }, true},
+        {[](const Dump &d) {
+             each(d, sensorFaultSchema(), d.c.faultPlan.sensorFaults,
+                  faultOrigin(d));
+         }, true},
+        {[](const Dump &d) {
+             each(d, oobOutageSchema(), d.c.faultPlan.oobOutages,
+                  faultOrigin(d));
+         }, true},
+        {[](const Dump &d) {
+             each(d, serverCrashSchema(), d.c.faultPlan.crashes,
+                  faultOrigin(d));
+         }, true},
+        {[](const Dump &d) {
+             each(d, controllerCrashSchema(),
+                  d.c.faultPlan.controllerCrashes, faultOrigin(d));
+         }, true},
+        {[](const Dump &d) { one(d, chaosConfigSchema(), d.c.chaos); },
+         true},
+        {[](const Dump &d) { one(d, safetyOptionsSchema(), d.c.safety); },
+         true},
+        {[](const Dump &d) { one(d, obsOptionsSchema(), d.c.obsOptions); }},
+        {[](const Dump &d) { one(d, topologyConfigSchema(), d.c.topology); }},
+        {[](const Dump &d) {
+             each(d, topologyRowGroupSchema(), d.c.topology.groups);
+         }},
+    };
+    return sections;
 }
 
 } // namespace
@@ -1024,94 +1081,10 @@ void
 dumpResolved(const core::ExperimentConfig &config,
              const ConfigNode &source, std::ostream &os)
 {
-    os << "# polcasim effective configuration (fully resolved: "
-          "defaults + file + CLI + sweep)\n"
-          "# Provenance per value: default | <file>:<line> | cli | "
-          "sweep | preset:<name>\n"
-          "# Rerun with: polcactl run --scenario-file <this file>\n"
-          "\n";
-
-    dumpSection(os, "experiment", config, experimentSchema(), source,
-                "experiment");
-    dumpSection(os, "row", config.row, rowConfigSchema(), source,
-                "row");
-    dumpSection(os, "row.server", config.row.serverSpec,
-                serverSpecSchema(), source, "row.server",
-                "preset:" + config.row.serverSpec.name);
-    dumpSection(os, "row.server.gpu", config.row.serverSpec.gpu,
-                gpuSpecSchema(), source, "row.server.gpu",
-                "preset:" + config.row.serverSpec.gpu.name);
-
-    llm::ModelSpec model = cluster::effectiveModelSpec(config.row);
-    dumpSection(os, "model", model, modelSpecSchema(), source,
-                "model", "catalog:" + model.name);
-
-    // Policy: dump preset "none" plus the explicit resolved rules so
-    // reparsing rebuilds the exact rule set with no preset involved.
-    os << "[policy]\n";
-    os << "preset = \"none\"  # resolved\n";
-    {
-        const ConfigNode *section = source.findPath("policy");
-        std::string fallback = "preset";
-        if (section) {
-            if (const ConfigNode *preset = section->find("preset"))
-                fallback = "preset (" + preset->origin + ")";
-        }
-        policyConfigSchema().dump(config.policy, section, os,
-                                  section ? fallback : "default");
-    }
-    os << "\n";
-    dumpBlocks(os, "policy.rules", config.policy.rules,
-               thresholdRuleSchema(), source, "policy.rules",
-               "preset:" + config.policy.name);
-
-    dumpSection(os, "manager", config.manager,
-                managerOptionsSchema(), source, "manager");
-    dumpSection(os, "workload.diurnal", config.diurnal,
-                diurnalSchema(), source, "workload.diurnal");
-    dumpBlocks(os, "workload.mix", config.mix, workloadSpecSchema(),
-               source, "workload.mix", "default");
-
-    const faults::FaultPlan &plan = config.faultPlan;
-    std::string faultFallback = "default";
-    if (const ConfigNode *faultsSection = source.findPath("faults")) {
-        if (const ConfigNode *scenario =
-                faultsSection->find("scenario")) {
-            std::string name, err;
-            if (parseStringToken(scenario->raw, name, err))
-                faultFallback = "preset:" + name;
-        }
-    }
-    dumpSection(os, "faults.bursty_loss", plan.burstyLoss,
-                burstyLossSchema(), source, "faults.bursty_loss",
-                faultFallback);
-    dumpBlocks(os, "faults.blackouts", plan.blackouts,
-               blackoutSchema(), source, "faults.blackouts",
-               faultFallback);
-    dumpBlocks(os, "faults.sensor_faults", plan.sensorFaults,
-               sensorFaultSchema(), source, "faults.sensor_faults",
-               faultFallback);
-    dumpBlocks(os, "faults.oob_outages", plan.oobOutages,
-               oobOutageSchema(), source, "faults.oob_outages",
-               faultFallback);
-    dumpBlocks(os, "faults.crashes", plan.crashes,
-               serverCrashSchema(), source, "faults.crashes",
-               faultFallback);
-    dumpBlocks(os, "faults.controller_crashes", plan.controllerCrashes,
-               controllerCrashSchema(), source,
-               "faults.controller_crashes", faultFallback);
-
-    dumpSection(os, "chaos", config.chaos, chaosConfigSchema(),
-                source, "chaos");
-    dumpSection(os, "safety", config.safety, safetyOptionsSchema(),
-                source, "safety");
-    dumpSection(os, "obs", config.obsOptions, obsOptionsSchema(),
-                source, "obs");
-    dumpSection(os, "topology", config.topology,
-                topologyConfigSchema(), source, "topology");
-    dumpBlocks(os, "topology.rows", config.topology.groups,
-               topologyRowGroupSchema(), source, "topology.rows",
-               "default");
+    os << kDumpPreamble;
+    const Keys none;
+    for (const ResolvedSection &section : resolvedSections())
+        section.dump({os, config, source, none});
 }
 
 std::string
@@ -1119,135 +1092,12 @@ warmupDigest(const core::ExperimentConfig &config,
              const ConfigNode &source)
 {
     std::ostringstream dump;
-    dumpResolved(config, source, dump);
-
-    // The control plane does not exist before t = warmup, so any
-    // section that only configures it cannot influence the warmup
-    // prefix and is dropped from the digest.  Everything else —
-    // deployment, model, workload, [obs] cadence, topology, seed,
-    // warmup itself — stays in.
-    static const char *const controlSections[] = {
-        "policy", "manager", "safety", "faults", "chaos"};
-
-    std::istringstream in(dump.str());
-    std::string filtered, line;
-    filtered.reserve(dump.str().size());
-    bool skip = false;
-    bool inExperiment = false;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.front() == '[') {
-            std::string name = line;
-            while (!name.empty() && name.front() == '[')
-                name.erase(name.begin());
-            while (!name.empty() && name.back() == ']')
-                name.pop_back();
-            std::string head = name.substr(0, name.find('.'));
-            skip = false;
-            for (const char *section : controlSections)
-                skip = skip || head == section;
-            inExperiment = name == "experiment";
-            if (skip)
-                continue;
-        } else if (skip) {
-            continue;
-        } else if (inExperiment &&
-                   (line.rfind("managed ", 0) == 0 ||
-                    line.rfind("record_row_series ", 0) == 0)) {
-            // [experiment] knobs that only steer the control plane
-            // or post-run reporting.
-            continue;
-        }
-        filtered += line;
-        filtered += '\n';
+    dump << kDumpPreamble;
+    for (const ResolvedSection &section : resolvedSections()) {
+        if (!section.controlPlane)
+            section.dump({dump, config, source, section.controlKeys});
     }
-    return obs::fnv1a64Hex(filtered);
-}
-
-bool
-resolvedConfigsEqual(const core::ExperimentConfig &a,
-                     const core::ExperimentConfig &b)
-{
-    if (!experimentSchema().equal(a, b))
-        return false;
-    if (!rowConfigSchema().equal(a.row, b.row))
-        return false;
-    if (!serverSpecSchema().equal(a.row.serverSpec, b.row.serverSpec))
-        return false;
-    if (!gpuSpecSchema().equal(a.row.serverSpec.gpu,
-                               b.row.serverSpec.gpu))
-        return false;
-    if (!modelSpecSchema().equal(cluster::effectiveModelSpec(a.row),
-                                 cluster::effectiveModelSpec(b.row)))
-        return false;
-    if (!policyConfigSchema().equal(a.policy, b.policy))
-        return false;
-    if (a.policy.rules.size() != b.policy.rules.size())
-        return false;
-    for (std::size_t i = 0; i < a.policy.rules.size(); ++i) {
-        if (!thresholdRuleSchema().equal(a.policy.rules[i],
-                                         b.policy.rules[i]))
-            return false;
-    }
-    if (!managerOptionsSchema().equal(a.manager, b.manager))
-        return false;
-    if (!diurnalSchema().equal(a.diurnal, b.diurnal))
-        return false;
-    if (a.mix.size() != b.mix.size())
-        return false;
-    for (std::size_t i = 0; i < a.mix.size(); ++i) {
-        if (!workloadSpecSchema().equal(a.mix[i], b.mix[i]))
-            return false;
-    }
-    const faults::FaultPlan &fa = a.faultPlan;
-    const faults::FaultPlan &fb = b.faultPlan;
-    if (!burstyLossSchema().equal(fa.burstyLoss, fb.burstyLoss))
-        return false;
-    if (fa.blackouts.size() != fb.blackouts.size() ||
-        fa.sensorFaults.size() != fb.sensorFaults.size() ||
-        fa.oobOutages.size() != fb.oobOutages.size() ||
-        fa.crashes.size() != fb.crashes.size())
-        return false;
-    for (std::size_t i = 0; i < fa.blackouts.size(); ++i) {
-        if (!blackoutSchema().equal(fa.blackouts[i], fb.blackouts[i]))
-            return false;
-    }
-    for (std::size_t i = 0; i < fa.sensorFaults.size(); ++i) {
-        if (!sensorFaultSchema().equal(fa.sensorFaults[i],
-                                       fb.sensorFaults[i]))
-            return false;
-    }
-    for (std::size_t i = 0; i < fa.oobOutages.size(); ++i) {
-        if (!oobOutageSchema().equal(fa.oobOutages[i],
-                                     fb.oobOutages[i]))
-            return false;
-    }
-    for (std::size_t i = 0; i < fa.crashes.size(); ++i) {
-        if (!serverCrashSchema().equal(fa.crashes[i], fb.crashes[i]))
-            return false;
-    }
-    if (fa.controllerCrashes.size() != fb.controllerCrashes.size())
-        return false;
-    for (std::size_t i = 0; i < fa.controllerCrashes.size(); ++i) {
-        if (!controllerCrashSchema().equal(fa.controllerCrashes[i],
-                                           fb.controllerCrashes[i]))
-            return false;
-    }
-    if (!chaosConfigSchema().equal(a.chaos, b.chaos))
-        return false;
-    if (!safetyOptionsSchema().equal(a.safety, b.safety))
-        return false;
-    if (!obsOptionsSchema().equal(a.obsOptions, b.obsOptions))
-        return false;
-    if (!topologyConfigSchema().equal(a.topology, b.topology))
-        return false;
-    if (a.topology.groups.size() != b.topology.groups.size())
-        return false;
-    for (std::size_t i = 0; i < a.topology.groups.size(); ++i) {
-        if (!topologyRowGroupSchema().equal(a.topology.groups[i],
-                                            b.topology.groups[i]))
-            return false;
-    }
-    return true;
+    return obs::fnv1a64Hex(dump.str());
 }
 
 } // namespace polca::config

@@ -20,9 +20,9 @@
  *
  * dumpResolved() writes the fully-resolved effective configuration —
  * every bound field of every struct, with per-value provenance
- * comments — as a scenario file that reparses to the identical
- * resolved config (verified by test_scenario), so any run can be
- * reproduced byte-for-byte from its dumped artifact.
+ * comments — as a scenario file that reparses to a config dumping
+ * the identical values (verified by test_scenario), so any run can
+ * be reproduced byte-for-byte from its dumped artifact.
  */
 
 #pragma once
@@ -115,20 +115,12 @@ void dumpResolved(const core::ExperimentConfig &config,
                   const ConfigNode &source, std::ostream &os);
 
 /**
- * Equality over everything the scenario layer binds (scalars of all
- * bound structs, policy rules, workload mix, fault plan, and the
- * effective model spec).  The basis of the dump -> reparse identity
- * guarantee.
- */
-bool resolvedConfigsEqual(const core::ExperimentConfig &a,
-                          const core::ExperimentConfig &b);
-
-/**
  * Digest of a point's *warmup prefix*: fnv1a64Hex over the resolved
- * dump (dumpResolved) with every control-plane section filtered out
- * — [policy*], [manager], [safety], [faults*], [chaos] — plus the
- * [experiment] keys that only steer the control plane or post-run
- * reporting (`managed`, `record_row_series`).  Two points with equal
+ * dump (dumpResolved) of the physical sections only, leaving out
+ * every section that configures only the control plane — [policy*],
+ * [manager], [safety], [faults*], [chaos] — and the [experiment]
+ * keys that only steer the control plane or post-run reporting
+ * (`managed`, `record_row_series`).  Two points with equal
  * digests share a bit-identical physical trajectory up to
  * t = warmup, because the control plane does not exist before the
  * boundary in a warmup run: that is the grouping key for

@@ -12,8 +12,7 @@
  *  - dump():   emit every bound field of a resolved struct as
  *              `key = value  # provenance` lines whose values reparse
  *              to the identical struct (canonical, unit-free numbers
- *              formatted with shortest-round-trip precision);
- *  - equal():  field-wise equality, for round-trip tests.
+ *              formatted with shortest-round-trip precision).
  *
  * Scalar tokens accept optional unit suffixes checked against the
  * field's declared unit: fractions take `%` (30% -> 0.30), durations
@@ -295,12 +294,9 @@ class StructSchema
                 std::vector<std::string> known = keys();
                 known.insert(known.end(), extraAllowed.begin(),
                              extraAllowed.end());
-                std::string near = nearestKey(key, known);
                 diag.error(node.loc, "unknown key '" + key +
                            "' in [" + name_ + "]" +
-                           (near.empty() ? ""
-                                         : " (did you mean '" + near +
-                                               "'?)"));
+                           didYouMean(key, known));
                 ok = false;
                 continue;
             }
@@ -317,16 +313,19 @@ class StructSchema
     }
 
     /**
-     * Emit `key = value  # provenance` lines for every bound field.
-     * Provenance is the matching scalar's origin in @p source (the
-     * effective source section for this struct), @p fallbackOrigin
-     * for fields without a source entry.
+     * Emit `key = value  # provenance` lines for every bound field
+     * but those in @p omit.  Provenance is the matching scalar's
+     * origin in @p source (the effective source section for this
+     * struct), @p fallbackOrigin for fields without a source entry.
      */
     void
     dump(const T &obj, const ConfigNode *source, std::ostream &os,
-         const std::string &fallbackOrigin = "default") const
+         const std::string &fallbackOrigin = "default",
+         const std::set<std::string> &omit = {}) const
     {
         for (const Field &f : fields_) {
+            if (omit.count(f.key))
+                continue;
             std::string origin = fallbackOrigin;
             if (source) {
                 if (const ConfigNode *node = source->find(f.key)) {
@@ -337,17 +336,6 @@ class StructSchema
             os << f.key << " = " << f.format(obj) << "  # " << origin
                << "\n";
         }
-    }
-
-    /** Field-wise equality via canonical formatting. */
-    bool
-    equal(const T &a, const T &b) const
-    {
-        for (const Field &f : fields_) {
-            if (f.format(a) != f.format(b))
-                return false;
-        }
-        return true;
     }
 
     /** Canonically-formatted value of one field (tests). */

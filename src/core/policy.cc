@@ -1,5 +1,7 @@
 #include "core/policy.hh"
 
+#include "cluster/topology.hh"
+#include "core/workload_aware.hh"
 #include "sim/logging.hh"
 
 namespace polca::core {
@@ -8,6 +10,33 @@ namespace {
 /** The paper selects uncap levels 5 % below the cap thresholds. */
 constexpr double hysteresisGap = 0.05;
 } // namespace
+
+std::optional<PolicyConfig>
+policyPreset(const std::string &name, const cluster::RowConfig &row,
+             double t1, double t2, double t1LockMhz, double threshold)
+{
+    if (name == "polca")
+        return PolicyConfig::polca(t1, t2, t1LockMhz);
+    if (name == "1tlp")
+        return PolicyConfig::oneThreshLowPri(threshold);
+    if (name == "1tall")
+        return PolicyConfig::oneThreshAll(threshold);
+    if (name == "nocap")
+        return PolicyConfig::noCap();
+    if (name == "aware") {
+        return workloadAwarePolicy(cluster::effectiveModelSpec(row),
+                                   row.serverSpec.gpu);
+    }
+    if (name == "none")
+        return PolicyConfig{};
+    return std::nullopt;
+}
+
+std::string
+policyPresetNames()
+{
+    return "polca|1tlp|1tall|nocap|aware|none";
+}
 
 PolicyConfig
 PolicyConfig::polca(double t1, double t2, double t1LockMhz)

@@ -13,10 +13,15 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "workload/workload_spec.hh"
+
+namespace polca::cluster {
+struct RowConfig;
+} // namespace polca::cluster
 
 namespace polca::core {
 
@@ -70,6 +75,21 @@ struct PolicyConfig
     /** Validate invariants (ordering, ranges); fatal() on error. */
     void validate() const;
 };
+
+/**
+ * The policy preset named @p name for @p row: "polca" (T1 @p t1
+ * locking LP to @p t1LockMhz, T2 @p t2), "1tlp" and "1tall" (one
+ * @p threshold), "nocap", "aware" (workloadAwarePolicy() for the
+ * row's model on the row's GPU) or "none" (no rules); std::nullopt
+ * for any other name.
+ */
+std::optional<PolicyConfig> policyPreset(
+    const std::string &name, const cluster::RowConfig &row,
+    double t1 = 0.80, double t2 = 0.89, double t1LockMhz = 1275.0,
+    double threshold = 0.89);
+
+/** The names policyPreset() resolves, joined with '|'. */
+std::string policyPresetNames();
 
 } // namespace polca::core
 

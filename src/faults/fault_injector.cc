@@ -124,12 +124,10 @@ FaultInjector::start()
     for (const OobOutage &outage : plan_.oobOutages) {
         if (!channels_.empty()) {
             sim_.queue().post(
-                outage.start, [this] { setOutage(true); },
-                "fault-oob-outage-start");
+                outage.start, [this] { setOutage(true); });
             sim_.queue().post(
                 outage.start + outage.duration,
-                [this] { setOutage(false); },
-                "fault-oob-outage-end");
+                [this] { setOutage(false); });
         }
     }
 
@@ -155,8 +153,7 @@ FaultInjector::start()
                                     victim->id(),
                                     static_cast<double>(victim->id()));
                 }
-            },
-            "fault-crash");
+            });
         if (crash.permanent)
             continue;  // deliberately dark for the rest of the run
         sim_.queue().post(
@@ -168,8 +165,7 @@ FaultInjector::start()
                 // bookkeeping and re-assert its caps.
                 if (controller_)
                     controller_->serverRestarted(victim);
-            },
-            "fault-restore");
+            });
     }
 
     for (const ControllerCrash &crash : plan_.controllerCrashes) {
@@ -188,12 +184,10 @@ FaultInjector::start()
                                     "controller_crash", sim_.now(),
                                     -3, 0.0);
                 }
-            },
-            "fault-controller-crash");
+            });
         sim_.queue().post(
             crash.at + crash.downtime,
-            [this, cold] { controller_->controllerRestart(cold); },
-            "fault-controller-restart");
+            [this, cold] { controller_->controllerRestart(cold); });
     }
 }
 

@@ -182,14 +182,80 @@ FaultPlan::validate() const
         sim::fatal("FaultPlan: ", found.front());
 }
 
-const std::vector<std::string> &
-scenarioNames()
+const std::vector<FaultScenario> &
+faultScenarios()
 {
-    static const std::vector<std::string> names = {
-        "none",   "blackout",   "bursty",
-        "flaky-sensor", "oob-outage", "crashes",
+    static const std::vector<FaultScenario> all = {
+        {"none", "ideal sensing and actuation",
+         [](sim::Tick, int) { return FaultPlan{}; }},
+        {"blackout", "telemetry fully dark for 15 min at 25% of the run",
+         [](sim::Tick duration, int) {
+             FaultPlan plan;
+             BlackoutWindow window;
+             window.start = duration / 4;
+             window.duration = std::min<sim::Tick>(
+                 sim::secondsToTicks(900), duration / 2);
+             plan.blackouts.push_back(window);
+             return plan;
+         }},
+        {"bursty", "Gilbert-Elliott reading loss (bursts, not i.i.d.)",
+         [](sim::Tick, int) {
+             // Mean burst ~10 readings, ~10 % of time in burst.
+             FaultPlan plan;
+             plan.burstyLoss.enabled = true;
+             plan.burstyLoss.enterBurstProbability = 0.01;
+             plan.burstyLoss.exitBurstProbability = 0.1;
+             plan.burstyLoss.goodLossProbability = 0.01;
+             plan.burstyLoss.burstLossProbability = 0.95;
+             return plan;
+         }},
+        {"flaky-sensor", "low-biased then stuck-at-last sensor windows",
+         [](sim::Tick duration, int) {
+             // A low-reading sensor makes POLCA think the row is safe
+             // while it is not.
+             FaultPlan plan;
+             SensorFault bias;
+             bias.start = duration / 5;
+             bias.duration = duration / 5;
+             bias.mode = SensorFaultMode::Bias;
+             bias.biasWatts = -20000.0;  // under-reports: the unsafe lie
+             plan.sensorFaults.push_back(bias);
+
+             SensorFault stuck;
+             stuck.start = (duration * 3) / 5;
+             stuck.duration = duration / 5;
+             stuck.mode = SensorFaultMode::StuckAtLast;
+             plan.sensorFaults.push_back(stuck);
+             return plan;
+         }},
+        {"oob-outage", "all SMBPBI command channels dead for 20 min",
+         [](sim::Tick duration, int) {
+             FaultPlan plan;
+             OobOutage outage;
+             outage.start = duration / 3;
+             outage.duration = std::min<sim::Tick>(
+                 sim::secondsToTicks(1200), duration / 3);
+             plan.oobOutages.push_back(outage);
+             return plan;
+         }},
+        {"crashes", "rolling server crash/restart wave",
+         [](sim::Tick duration, int numServers) {
+             // Every ~8 % of the run another server goes down for 5
+             // minutes.
+             FaultPlan plan;
+             int victims = std::max(1, numServers / 4);
+             for (int i = 0; i < victims; ++i) {
+                 ServerCrash crash;
+                 crash.at = duration / 10 + (duration * i) / 12;
+                 crash.downtime = std::min<sim::Tick>(
+                     sim::secondsToTicks(300), duration / 10);
+                 crash.serverIndex = i % std::max(1, numServers);
+                 plan.crashes.push_back(crash);
+             }
+             return plan;
+         }},
     };
-    return names;
+    return all;
 }
 
 FaultPlan
@@ -198,66 +264,14 @@ scenarioByName(const std::string &name, sim::Tick duration,
 {
     if (duration <= 0)
         sim::fatal("scenarioByName: non-positive duration");
-
-    FaultPlan plan;
-    if (name == "none")
+    for (const FaultScenario &scenario : faultScenarios()) {
+        if (scenario.name != name)
+            continue;
+        FaultPlan plan = scenario.build(duration, numServers);
+        plan.validate();
         return plan;
-
-    if (name == "blackout") {
-        BlackoutWindow window;
-        window.start = duration / 4;
-        window.duration =
-            std::min<sim::Tick>(sim::secondsToTicks(900),
-                                duration / 2);
-        plan.blackouts.push_back(window);
-    } else if (name == "bursty") {
-        plan.burstyLoss.enabled = true;
-        plan.burstyLoss.enterBurstProbability = 0.01;
-        plan.burstyLoss.exitBurstProbability = 0.1;
-        plan.burstyLoss.goodLossProbability = 0.01;
-        plan.burstyLoss.burstLossProbability = 0.95;
-    } else if (name == "flaky-sensor") {
-        SensorFault bias;
-        bias.start = duration / 5;
-        bias.duration = duration / 5;
-        bias.mode = SensorFaultMode::Bias;
-        bias.biasWatts = -20000.0;  // under-reports: the unsafe lie
-        plan.sensorFaults.push_back(bias);
-
-        SensorFault stuck;
-        stuck.start = (duration * 3) / 5;
-        stuck.duration = duration / 5;
-        stuck.mode = SensorFaultMode::StuckAtLast;
-        plan.sensorFaults.push_back(stuck);
-    } else if (name == "oob-outage") {
-        OobOutage outage;
-        outage.start = duration / 3;
-        outage.duration =
-            std::min<sim::Tick>(sim::secondsToTicks(1200),
-                                duration / 3);
-        plan.oobOutages.push_back(outage);
-    } else if (name == "crashes") {
-        // A rolling wave: every ~8 % of the run another server goes
-        // down for 5 minutes.
-        int victims = std::max(1, numServers / 4);
-        for (int i = 0; i < victims; ++i) {
-            ServerCrash crash;
-            crash.at = duration / 10 + (duration * i) / 12;
-            crash.downtime =
-                std::min<sim::Tick>(sim::secondsToTicks(300),
-                                    duration / 10);
-            crash.serverIndex = i % std::max(1, numServers);
-            plan.crashes.push_back(crash);
-        }
-    } else {
-        std::string known;
-        for (const std::string &n : scenarioNames())
-            known += (known.empty() ? "" : "|") + n;
-        sim::fatal("unknown fault scenario '", name, "' (use ", known,
-                   ")");
     }
-    plan.validate();
-    return plan;
+    sim::fatal("unknown fault scenario '", name, "'");
 }
 
 } // namespace polca::faults

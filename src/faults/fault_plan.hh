@@ -130,28 +130,26 @@ struct FaultPlan
     void validate() const;
 };
 
-/**
- * Canned scenarios, scaled to a run of @p duration, for the CLI,
- * the fault_scenarios example, and apples-to-apples comparisons:
- *
- *  - "none":          empty plan
- *  - "blackout":      telemetry dark for 15 min starting at 25 %
- *                     of the run
- *  - "bursty":        Gilbert–Elliott loss (mean burst ~10 readings,
- *                     ~10 % of time in burst)
- *  - "flaky-sensor":  low-biased then stuck-at-last sensor windows
- *                     (a low-reading sensor makes POLCA think the
- *                     row is safe while it is not)
- *  - "oob-outage":    all SMBPBI channels dead for 20 min mid-run
- *  - "crashes":       a rolling wave of server crash/restarts
- *
- * @p numServers bounds the crash scenario's server indices.
- */
+/** A canned fault scenario, for the CLI, the scenario layer's
+ *  `[faults] scenario` key, the fault_scenarios example, and
+ *  apples-to-apples comparisons. */
+struct FaultScenario
+{
+    std::string name;
+    std::string description;  ///< what it injects, one line
+
+    /** The plan, scaled to a run of @p duration (> 0); crash
+     *  scenarios pick server indices below @p numServers. */
+    FaultPlan (*build)(sim::Tick duration, int numServers);
+};
+
+/** Every canned scenario, in usage-text order ("none" first). */
+const std::vector<FaultScenario> &faultScenarios();
+
+/** The plan of the canned scenario named @p name (validated);
+ *  fatal() on unknown names or a non-positive @p duration. */
 FaultPlan scenarioByName(const std::string &name, sim::Tick duration,
                          int numServers);
-
-/** Names accepted by scenarioByName, for usage text. */
-const std::vector<std::string> &scenarioNames();
 
 } // namespace polca::faults
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -71,7 +72,10 @@ struct GpuSpec
     /** NVIDIA H100 80GB SXM (Section 6.7 forward-looking entry). */
     static GpuSpec h100_80gb();
 
-    /** Look up a spec by name; fatal() on unknown names. */
+    /** The three presets above, in usage-text order. */
+    static const std::vector<GpuSpec> &presets();
+
+    /** Look up a preset by name; fatal() on unknown names. */
     static GpuSpec byName(const std::string &name);
 };
 

@@ -54,6 +54,24 @@ ServerSpec::dgxH100()
     return spec;
 }
 
+const std::vector<ServerSpec> &
+ServerSpec::presets()
+{
+    static const std::vector<ServerSpec> all = {dgxA100_80gb(),
+                                                dgxA100_40gb(), dgxH100()};
+    return all;
+}
+
+ServerSpec
+ServerSpec::byName(const std::string &name)
+{
+    for (const ServerSpec &spec : presets()) {
+        if (spec.name == name)
+            return spec;
+    }
+    sim::fatal("ServerSpec::byName: unknown server preset '", name, "'");
+}
+
 double
 ServerSpec::provisionedGpuWatts() const
 {
@@ -73,13 +91,14 @@ ServerSpec::provisionedBreakdown() const
 }
 
 ServerModel::ServerModel(ServerSpec spec)
-    : spec_(std::move(spec))
+    : spec_(std::make_shared<const ServerSpec>(std::move(spec)))
 {
-    if (spec_.numGpus == 0)
-        sim::fatal("ServerModel: server '", spec_.name, "' has no GPUs");
-    auto gpuSpec = std::make_shared<const GpuSpec>(spec_.gpu);
-    gpus_.reserve(spec_.numGpus);
-    for (std::size_t i = 0; i < spec_.numGpus; ++i)
+    if (spec_->numGpus == 0)
+        sim::fatal("ServerModel: server '", spec_->name, "' has no GPUs");
+    // Aliasing pointer: the GPUs share the server spec's block.
+    std::shared_ptr<const GpuSpec> gpuSpec(spec_, &spec_->gpu);
+    gpus_.reserve(spec_->numGpus);
+    for (std::size_t i = 0; i < spec_->numGpus; ++i)
         gpus_.emplace_back(gpuSpec);
 }
 
@@ -90,10 +109,10 @@ ServerModel::evaluate() const
     for (const auto &gpu : gpus_)
         d.gpuWatts += gpu.powerWatts();
     double gpuIdle = static_cast<double>(gpus_.size()) *
-        spec_.gpu.idleWatts;
+        spec_->gpu.idleWatts;
     double gpuDynamic = std::max(0.0, d.gpuWatts - gpuIdle);
-    d.hostWatts = spec_.hostIdleWatts +
-        spec_.hostGpuTrackingFactor * gpuDynamic;
+    d.hostWatts = spec_->hostIdleWatts +
+        spec_->hostGpuTrackingFactor * gpuDynamic;
     d.totalWatts = d.hostWatts + d.gpuWatts;
     return d;
 }
@@ -108,7 +127,7 @@ ServerModel::draw() const
     POLCA_DCHECK(core::bitwiseEqual(draw_.gpuWatts, evaluate().gpuWatts) &&
                      core::bitwiseEqual(draw_.totalWatts,
                                         evaluate().totalWatts),
-                 "server '", spec_.name, "': cached draw ",
+                 "server '", spec_->name, "': cached draw ",
                  draw_.totalWatts, " W != evaluated ",
                  evaluate().totalWatts, " W (missed invalidation)");
     return draw_;

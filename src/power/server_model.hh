@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +59,12 @@ struct ServerSpec
     /** DGX H100 (10.2 kW, Section 6.7). */
     static ServerSpec dgxH100();
 
+    /** The three presets above, in usage-text order. */
+    static const std::vector<ServerSpec> &presets();
+
+    /** Look up a preset by name; fatal() on unknown names. */
+    static ServerSpec byName(const std::string &name);
+
     /** Provisioned GPU power = numGpus * gpu TDP. */
     double provisionedGpuWatts() const;
 
@@ -72,8 +79,9 @@ struct ServerSpec
 /**
  * A live server: owns its GPUs and derives total electrical draw.
  *
- * The GPUs share one immutable GpuSpec, built at construction; a copy
- * of the server shares it as well.
+ * The server holds one immutable ServerSpec, built at construction;
+ * its GPUs point at that spec's GpuSpec, and a copy of the server
+ * shares both.
  *
  * The draw is computed once per change, not once per read: every
  * mutator marks the cached GPU, host and total draw stale, and the
@@ -86,7 +94,7 @@ class ServerModel
   public:
     explicit ServerModel(ServerSpec spec);
 
-    const ServerSpec &spec() const { return spec_; }
+    const ServerSpec &spec() const { return *spec_; }
 
     std::size_t numGpus() const { return gpus_.size(); }
     const GpuPowerModel &gpu(std::size_t i) const { return gpus_.at(i); }
@@ -137,7 +145,7 @@ class ServerModel
     /** The cached draw, re-evaluated first when stale. */
     const Draw &draw() const;
 
-    ServerSpec spec_;
+    std::shared_ptr<const ServerSpec> spec_;  ///< never null
     std::vector<GpuPowerModel> gpus_;
     // polca-snapshot: skip(draw_, derived; copied with the GPUs it was computed from)
     mutable Draw draw_;

@@ -38,25 +38,21 @@ EventQueue::freeSlot(std::uint32_t slot)
 }
 
 std::uint32_t
-EventQueue::enqueue(Tick when, Callback &callback,
-                    const std::string &name)
+EventQueue::enqueue(Tick when, Callback &callback)
 {
     POLCA_CHECK(when >= now_,
-                "scheduling event '", name, "' at t=", when,
+                "scheduling an event at t=", when,
                 " which is in the past (now=", now_, ")");
     POLCA_CHECK(static_cast<bool>(callback),
-                "scheduling empty callback '", name, "'");
+                "scheduling an empty callback");
     POLCA_CHECK(!restoring_,
-                "scheduling event '", name,
-                "' while a snapshot restore is open (use "
-                "rearmSchedule/rearmPost)");
+                "scheduling an event while a snapshot restore is open "
+                "(use rearmSchedule/rearmPost)");
 
     std::uint32_t slot = allocSlot();
     Slot &s = slab_[slot];
     s.callback = std::move(callback);
     s.seq = nextSeq_++;
-    if (namesEnabled_ && !name.empty())
-        names_.emplace(s.seq, name);
 
     heap_.push_back({when, s.seq, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -66,32 +62,32 @@ EventQueue::enqueue(Tick when, Callback &callback,
 }
 
 EventQueue::Handle
-EventQueue::schedule(Tick when, Callback callback, std::string name)
+EventQueue::schedule(Tick when, Callback callback)
 {
-    std::uint32_t slot = enqueue(when, callback, name);
+    std::uint32_t slot = enqueue(when, callback);
     const Slot &s = slab_[slot];
     return Handle(this, slot, s.generation, when, s.seq);
 }
 
 EventQueue::Handle
-EventQueue::scheduleAfter(Tick delay, Callback callback, std::string name)
+EventQueue::scheduleAfter(Tick delay, Callback callback)
 {
     POLCA_CHECK(delay >= 0, "negative delay ", delay);
-    return schedule(now_ + delay, std::move(callback), std::move(name));
+    return schedule(now_ + delay, std::move(callback));
 }
 
 std::uint64_t
-EventQueue::post(Tick when, Callback callback, std::string name)
+EventQueue::post(Tick when, Callback callback)
 {
-    std::uint32_t slot = enqueue(when, callback, name);
+    std::uint32_t slot = enqueue(when, callback);
     return slab_[slot].seq;
 }
 
 std::uint64_t
-EventQueue::postAfter(Tick delay, Callback callback, std::string name)
+EventQueue::postAfter(Tick delay, Callback callback)
 {
     POLCA_CHECK(delay >= 0, "negative delay ", delay);
-    return post(now_ + delay, std::move(callback), std::move(name));
+    return post(now_ + delay, std::move(callback));
 }
 
 void
@@ -117,8 +113,6 @@ EventQueue::cancel(const Handle &handle)
     // occupied until its heap entry surfaces (see Slot).
     ++s.generation;
     s.callback = nullptr;
-    if (!names_.empty())
-        names_.erase(s.seq);
     --liveEvents_;
 }
 
@@ -127,29 +121,6 @@ EventQueue::reserve(std::size_t n)
 {
     heap_.reserve(n);
     slab_.reserve(n);
-}
-
-std::vector<std::string>
-EventQueue::pendingEventNames() const
-{
-    std::vector<HeapEntry> live;
-    live.reserve(liveEvents_);
-    for (const HeapEntry &entry : heap_) {
-        if (slab_[entry.slot].callback)
-            live.push_back(entry);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const HeapEntry &a, const HeapEntry &b) {
-                  return Later{}(b, a);
-              });
-    std::vector<std::string> names;
-    names.reserve(live.size());
-    for (const HeapEntry &entry : live) {
-        auto it = names_.find(entry.seq);
-        names.push_back(it == names_.end() ? "(unnamed)"
-                                           : it->second);
-    }
-    return names;
 }
 
 void
@@ -191,8 +162,6 @@ EventQueue::runOne()
                  "runOne popped a dead slot after skipDead");
     // Handles stop being pending before the callback runs.
     ++s.generation;
-    if (!names_.empty())
-        names_.erase(top.seq);
     // Move the callback out before freeing the slot so re-entrant
     // scheduling can recycle it (and may grow the slab) safely.
     Callback callback = std::move(s.callback);
@@ -262,7 +231,6 @@ EventQueue::beginRestore(const EventQueueState &state)
         s.nextFree = freeHead_;
         freeHead_ = static_cast<std::uint32_t>(i);
     }
-    names_.clear();
     now_ = state.now;
     nextSeq_ = state.nextSeq;
     numProcessed_ = state.numProcessed;
@@ -272,27 +240,23 @@ EventQueue::beginRestore(const EventQueueState &state)
 }
 
 std::uint32_t
-EventQueue::rearm(Tick when, std::uint64_t seq, Callback &callback,
-                  const std::string &name)
+EventQueue::rearm(Tick when, std::uint64_t seq, Callback &callback)
 {
-    POLCA_CHECK(restoring_,
-                "rearm of '", name, "' outside a restore");
+    POLCA_CHECK(restoring_, "rearm outside a restore");
     POLCA_CHECK(seq < nextSeq_,
-                "rearm of '", name, "' with seq ", seq,
+                "rearm with seq ", seq,
                 " the snapshotted run never allocated (nextSeq=",
                 nextSeq_, ")");
     POLCA_CHECK(when >= now_,
-                "rearm of '", name, "' at t=", when,
+                "rearm at t=", when,
                 " behind the restored now=", now_);
     POLCA_CHECK(static_cast<bool>(callback),
-                "rearm of empty callback '", name, "'");
+                "rearm of an empty callback");
 
     std::uint32_t slot = allocSlot();
     Slot &s = slab_[slot];
     s.callback = std::move(callback);
     s.seq = seq;
-    if (namesEnabled_ && !name.empty())
-        names_.emplace(seq, name);
     heap_.push_back({when, seq, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++liveEvents_;
@@ -302,17 +266,16 @@ EventQueue::rearm(Tick when, std::uint64_t seq, Callback &callback,
 
 EventQueue::Handle
 EventQueue::rearmSchedule(Tick when, std::uint64_t seq,
-                          Callback callback, std::string name)
+                          Callback callback)
 {
-    std::uint32_t slot = rearm(when, seq, callback, name);
+    std::uint32_t slot = rearm(when, seq, callback);
     return Handle(this, slot, slab_[slot].generation, when, seq);
 }
 
 void
-EventQueue::rearmPost(Tick when, std::uint64_t seq, Callback callback,
-                      std::string name)
+EventQueue::rearmPost(Tick when, std::uint64_t seq, Callback callback)
 {
-    rearm(when, seq, callback, name);
+    rearm(when, seq, callback);
 }
 
 void

@@ -23,9 +23,6 @@
  * while its generation matches its slot's: a handle to a fired,
  * cancelled or discarded event stays inert after its slot is
  * recycled.  A handle must not be used after its queue is destroyed.
- * The optional diagnostic name is kept out of the hot record
- * entirely: names are recorded in a side table only while
- * setNameTracing(true) is active.
  *
  * Scheduling in the past (when < now()) or with a negative delay is
  * rejected with a panic on BOTH paths — accepting such an event would
@@ -51,8 +48,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -136,17 +131,13 @@ class EventQueue
      * @param when  Absolute time; must be >= now() (panics otherwise —
      *              see the file comment on past scheduling).
      * @param callback  Invoked when simulated time reaches @p when.
-     * @param name  Optional label for diagnostics; recorded only while
-     *              name tracing is enabled.
      */
-    [[nodiscard]] Handle schedule(Tick when, Callback callback,
-                                  std::string name = {});
+    [[nodiscard]] Handle schedule(Tick when, Callback callback);
 
     /** Schedule a cancellable callback @p delay ticks from now
      *  (delay >= 0; negative delays panic).  Discarding the Handle
      *  forfeits cancellation — use post()/postAfter() for that. */
-    [[nodiscard]] Handle scheduleAfter(Tick delay, Callback callback,
-                                       std::string name = {});
+    [[nodiscard]] Handle scheduleAfter(Tick delay, Callback callback);
 
     /**
      * Fire-and-forget: schedule a callback at absolute tick @p when
@@ -155,12 +146,10 @@ class EventQueue
      * @return the event's sequence number (components that snapshot
      *         a pending post save it for the re-arm).
      */
-    std::uint64_t post(Tick when, Callback callback,
-                       std::string name = {});
+    std::uint64_t post(Tick when, Callback callback);
 
     /** Fire-and-forget @p delay ticks from now (delay >= 0). */
-    std::uint64_t postAfter(Tick delay, Callback callback,
-                            std::string name = {});
+    std::uint64_t postAfter(Tick delay, Callback callback);
 
     /** Cancel a pending event; no-op if already fired or cancelled.
      *  @p handle must come from this queue (or be default-constructed):
@@ -170,24 +159,6 @@ class EventQueue
     /** Pre-size the heap and slab for @p n simultaneous live events
      *  (optional; the queue grows on demand either way). */
     void reserve(std::size_t n);
-
-    /**
-     * Record event names in a side table while enabled (off by
-     * default: the hot path then never touches a string).  Names of
-     * events scheduled while tracing was off are not recovered
-     * retroactively.
-     */
-    void setNameTracing(bool enabled) { namesEnabled_ = enabled; }
-
-    /** @return true if event names are being recorded. */
-    bool nameTracing() const { return namesEnabled_; }
-
-    /**
-     * Names of live (pending, non-cancelled) events, ordered by firing
-     * time then insertion order.  Events scheduled without a name or
-     * while tracing was off report "(unnamed)".  Diagnostic only.
-     */
-    std::vector<std::string> pendingEventNames() const;
 
     /** Current simulated time. */
     [[nodiscard]] Tick now() const { return now_; }
@@ -241,13 +212,11 @@ class EventQueue
      * endRestore().
      */
     [[nodiscard]] Handle rearmSchedule(Tick when, std::uint64_t seq,
-                                       Callback callback,
-                                       std::string name = {});
+                                       Callback callback);
 
     /** Re-register a fire-and-forget callback saved from a
      *  snapshot; same rules as rearmSchedule(). */
-    void rearmPost(Tick when, std::uint64_t seq, Callback callback,
-                   std::string name = {});
+    void rearmPost(Tick when, std::uint64_t seq, Callback callback);
 
     /**
      * Close the restore.  @p expectedLive is the number of events
@@ -300,13 +269,12 @@ class EventQueue
 
     /** Validate (when, callback) and enqueue; shared by both paths.
      *  @return the slab slot the event landed in. */
-    std::uint32_t enqueue(Tick when, Callback &callback,
-                          const std::string &name);
+    std::uint32_t enqueue(Tick when, Callback &callback);
 
     /** Enqueue with a caller-supplied (snapshot-saved) seq; shared
      *  by both re-arm paths. */
     std::uint32_t rearm(Tick when, std::uint64_t seq,
-                        Callback &callback, const std::string &name);
+                        Callback &callback);
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
@@ -318,10 +286,6 @@ class EventQueue
     std::vector<HeapEntry> heap_;
     std::vector<Slot> slab_;
     std::uint32_t freeHead_ = kNoSlot;
-
-    /** seq -> diagnostic name; populated only while namesEnabled_. */
-    std::unordered_map<std::uint64_t, std::string> names_;
-    bool namesEnabled_ = false;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;

@@ -98,8 +98,7 @@ SmbpbiController::issue(double lockMhz)
                 target_.applyClockLock(lockMhz);
             else
                 target_.applyClockUnlock();
-        },
-        "smbpbi-cap");
+        });
 }
 
 void
@@ -131,8 +130,7 @@ SmbpbiController::requestPowerBrake(bool engage)
                                  engage ? 1.0 : 0.0);
             }
             target_.applyPowerBrake(engage);
-        },
-        "smbpbi-brake");
+        });
 }
 
 } // namespace polca::telemetry

@@ -320,41 +320,6 @@ TEST(EventQueue, CancelledSlotIsRecycledAfterPop)
     EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, NameTracingOffRecordsNothing)
-{
-    EventQueue queue;
-    EXPECT_FALSE(queue.nameTracing());
-    std::ignore = queue.schedule(10, [] {}, "visible");
-    queue.post(20, [] {}, "also-visible");
-    std::vector<std::string> names = queue.pendingEventNames();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "(unnamed)");
-    EXPECT_EQ(names[1], "(unnamed)");
-}
-
-TEST(EventQueue, NameTracingRecordsLiveNamesInFiringOrder)
-{
-    EventQueue queue;
-    queue.setNameTracing(true);
-    queue.post(30, [] {}, "late");
-    auto cancelled = queue.schedule(20, [] {}, "cancelled");
-    std::ignore = queue.schedule(10, [] {}, "early");
-    queue.post(15, [] {});  // unnamed
-    queue.cancel(cancelled);
-    std::vector<std::string> names = queue.pendingEventNames();
-    ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "early");
-    EXPECT_EQ(names[1], "(unnamed)");
-    EXPECT_EQ(names[2], "late");
-
-    // Fired events drop out of the table.
-    queue.runOne();
-    names = queue.pendingEventNames();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "(unnamed)");
-    EXPECT_EQ(names[1], "late");
-}
-
 TEST(EventQueue, ReserveDoesNotDisturbPendingEvents)
 {
     EventQueue queue;

@@ -59,9 +59,9 @@ TEST(FaultPlan, EmptyByDefault)
 TEST(FaultPlan, CannedScenariosAreValidAndNonEmpty)
 {
     Tick duration = secondsToTicks(24 * 3600.0);
-    for (const std::string &name : scenarioNames()) {
-        FaultPlan plan = scenarioByName(name, duration, 40);
-        EXPECT_EQ(plan.empty(), name == "none") << name;
+    for (const FaultScenario &scenario : faultScenarios()) {
+        FaultPlan plan = scenarioByName(scenario.name, duration, 40);
+        EXPECT_EQ(plan.empty(), scenario.name == "none") << scenario.name;
     }
 }
 

@@ -3,9 +3,9 @@
  * Golden digests: every shipped scenario (scenarios/<name>.toml) is
  * run through `polcactl run --out-dir` at a short horizon, and each
  * row of every CSV artifact (result.csv, metrics.csv, domains.csv, ...
- * for single runs; summary.csv and the per-point CSVs for sweeps) is
- * hashed with FNV-1a and compared with the digests committed in
- * tests/golden/.
+ * for single runs; summary.csv and the per-point CSVs for sweeps) and
+ * of a single run's resolved.toml is hashed with FNV-1a and compared
+ * with the digests committed in tests/golden/.
  * Rerun-against-rerun checks cannot see a change that shifts every
  * run the same way; this test compares today's outputs with the
  * recorded ones and names the first differing file and row.
@@ -138,15 +138,29 @@ runScenario(const std::string &stem, const fs::path &outDir)
     return {};
 }
 
-/** Digest every row of every CSV artifact in @p dir, files in name
- *  order. */
+/** @p line with every `<source dir>/` removed, so resolved.toml's
+ *  provenance reads `scenarios/<name>.toml:<line>` on every
+ *  checkout. */
+std::string
+stripSourceDir(std::string line)
+{
+    const std::string prefix = std::string(POLCA_SOURCE_DIR) + "/";
+    for (std::size_t at = line.find(prefix); at != std::string::npos;
+         at = line.find(prefix, at))
+        line.erase(at, prefix.size());
+    return line;
+}
+
+/** Digest every row of every CSV artifact and of resolved.toml in
+ *  @p dir, files in name order. */
 std::vector<RowDigest>
 digestRunDir(const fs::path &dir, std::map<std::string,
              std::vector<std::string>> &text)
 {
     std::vector<std::string> files;
     for (const auto &entry : fs::directory_iterator(dir)) {
-        if (entry.path().extension() == ".csv")
+        if (entry.path().extension() == ".csv" ||
+            entry.path().filename() == "resolved.toml")
             files.push_back(entry.path().filename().string());
     }
     std::sort(files.begin(), files.end());
@@ -158,6 +172,7 @@ digestRunDir(const fs::path &dir, std::map<std::string,
         std::size_t row = 0;
         while (std::getline(in, line)) {
             ++row;
+            line = stripSourceDir(std::move(line));
             rows.push_back({file, row, polca::obs::fnv1a64Hex(line)});
             text[file].push_back(line);
         }

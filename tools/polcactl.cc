@@ -3,7 +3,7 @@
  * polcactl — command-line front-end to the polcasim library.
  *
  *   polcactl models
- *   polcactl policy <polca|1tlp|1tall|nocap|aware>
+ *   polcactl policy <polca|1tlp|1tall|nocap|aware|none>
  *   polcactl trace generate [--days N] [--servers N] [--seed S] \
  *                           [--out FILE]
  *   polcactl trace stats FILE
@@ -54,17 +54,18 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/table.hh"
+#include "cluster/topology.hh"
 #include "config/scenario.hh"
 #include "core/oversub_experiment.hh"
 #include "core/run_artifacts.hh"
 #include "core/sweep_runner.hh"
 #include "core/thread_pool.hh"
-#include "core/workload_aware.hh"
 #include "faults/fault_plan.hh"
 #include "llm/model_spec.hh"
 #include "llm/phase_model.hh"
@@ -199,7 +200,7 @@ usage()
     std::printf(
         "polcactl -- LLM cluster power management simulator\n\n"
         "  polcactl models\n"
-        "  polcactl policy <polca|1tlp|1tall|nocap|aware>\n"
+        "  polcactl policy <%s>\n"
         "  polcactl trace generate [--days N] [--servers N] "
         "[--seed S] [--out FILE]\n"
         "  polcactl trace stats FILE\n"
@@ -263,27 +264,9 @@ usage()
         "  stats_interval.csv, violations.csv) that `polcactl "
         "report` turns into\n"
         "  report.md + report.html (self-contained, inline-SVG "
-        "timeline).\n");
+        "timeline).\n",
+        core::policyPresetNames().c_str());
     return 2;
-}
-
-core::PolicyConfig
-policyByName(const std::string &name)
-{
-    if (name == "polca")
-        return core::PolicyConfig::polca();
-    if (name == "1tlp")
-        return core::PolicyConfig::oneThreshLowPri();
-    if (name == "1tall")
-        return core::PolicyConfig::oneThreshAll();
-    if (name == "nocap")
-        return core::PolicyConfig::noCap();
-    if (name == "aware") {
-        return core::workloadAwarePolicy(
-            llm::ModelCatalog().byName("BLOOM-176B"));
-    }
-    sim::fatal("unknown policy '", name,
-               "' (use polca|1tlp|1tall|nocap|aware)");
 }
 
 int
@@ -310,7 +293,15 @@ cmdPolicy(const Args &args)
 {
     if (args.positional().empty())
         return usage();
-    core::PolicyConfig policy = policyByName(args.positional()[0]);
+    // The `[row]` defaults: BLOOM-176B on the DGX-A100-80GB.
+    const std::string &name = args.positional()[0];
+    std::optional<core::PolicyConfig> preset =
+        core::policyPreset(name, cluster::RowConfig{});
+    if (!preset) {
+        sim::fatal("unknown policy '", name, "' (use ",
+                   core::policyPresetNames(), ")");
+    }
+    const core::PolicyConfig &policy = *preset;
     std::printf("Policy: %s\n", policy.name.c_str());
     analysis::Table table({"Rule", "Target", "Cap at", "Uncap at",
                            "Lock (MHz)"});
@@ -432,17 +423,8 @@ int
 cmdScenarios()
 {
     analysis::Table table({"Scenario", "What it injects"});
-    table.row().cell("none").cell("ideal sensing and actuation");
-    table.row().cell("blackout").cell(
-        "telemetry fully dark for 15 min at 25% of the run");
-    table.row().cell("bursty").cell(
-        "Gilbert-Elliott reading loss (bursts, not i.i.d.)");
-    table.row().cell("flaky-sensor").cell(
-        "low-biased then stuck-at-last sensor windows");
-    table.row().cell("oob-outage").cell(
-        "all SMBPBI command channels dead for 20 min");
-    table.row().cell("crashes").cell(
-        "rolling server crash/restart wave");
+    for (const faults::FaultScenario &scenario : faults::faultScenarios())
+        table.row().cell(scenario.name).cell(scenario.description);
     table.print(std::cout);
     return 0;
 }
