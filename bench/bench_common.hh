@@ -8,10 +8,13 @@
 
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -37,30 +40,67 @@ struct BenchOptions
     }
 };
 
-/** Parse --full, --days <n>, --seed <n>; exits on --help. */
+/** Print the option summary after @p description to @p out. */
+inline void
+usage(std::FILE *out, const char *description)
+{
+    std::fprintf(out,
+                 "%s\n\nOptions:\n"
+                 "  --full       paper-scale horizons\n"
+                 "  --days <n>   explicit horizon in days (> 0)\n"
+                 "  --seed <n>   RNG seed, a non-negative integer "
+                 "(default 42)\n"
+                 "  --csv <f>    export plotted series to a CSV file\n",
+                 description);
+}
+
+/**
+ * Parse --full, --days <n>, --seed <n>, --csv <f>; exits 0 on --help.
+ * An unknown flag, a missing value, a malformed or non-positive
+ * --days or a malformed --seed prints what is wrong and the usage
+ * text to stderr and exits 2, so a typo never runs the default
+ * horizon.
+ */
 inline BenchOptions
 parseArgs(int argc, char **argv, const char *description)
 {
+    auto reject = [&](const std::string &problem) {
+        std::fprintf(stderr, "%s: %s\n\n", argv[0], problem.c_str());
+        usage(stderr, description);
+        std::exit(2);
+    };
+    // All of @p text as a number.
+    auto parse = [](const std::string &text, auto &out) {
+        const char *end = text.data() + text.size();
+        auto [stop, error] = std::from_chars(text.data(), end, out);
+        return error == std::errc() && stop == end;
+    };
     BenchOptions options;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--full")) {
+        std::string flag = argv[i];
+        if (flag == "--full") {
             options.full = true;
-        } else if (!std::strcmp(argv[i], "--days") && i + 1 < argc) {
-            options.days = std::atof(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            options.seed =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
-        } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) {
-            options.csvPath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--help")) {
-            std::printf("%s\n\nOptions:\n"
-                        "  --full       paper-scale horizons\n"
-                        "  --days <n>   explicit horizon in days\n"
-                        "  --seed <n>   RNG seed (default 42)\n"
-                        "  --csv <f>    export plotted series to a "
-                        "CSV file\n",
-                        description);
+            continue;
+        }
+        if (flag == "--help") {
+            usage(stdout, description);
             std::exit(0);
+        }
+        if (flag != "--days" && flag != "--seed" && flag != "--csv")
+            reject("unknown flag '" + flag + "'");
+        if (i + 1 == argc)
+            reject(flag + ": missing value");
+        std::string value = argv[++i];
+        if (flag == "--csv") {
+            options.csvPath = value;
+        } else if (flag == "--seed") {
+            if (!parse(value, options.seed))
+                reject("--seed: expected a non-negative integer, got '" +
+                       value + "'");
+        } else if (!parse(value, options.days) ||
+                   !(options.days > 0.0) || !std::isfinite(options.days)) {
+            reject("--days: expected a positive number of days, got '" +
+                   value + "'");
         }
     }
     sim::setQuiet(true);

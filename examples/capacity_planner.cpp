@@ -36,6 +36,7 @@ main(int argc, char **argv)
                            "Verdict"});
 
     double best = 0.0;
+    int extra = 0;
     for (double added : {0.0, 0.10, 0.20, 0.25, 0.30, 0.35, 0.40}) {
         ExperimentConfig config;
         config.row.baseServers = baseServers;
@@ -52,11 +53,12 @@ main(int argc, char **argv)
             normalizeLatency(managed.high, baseline.high);
         bool ok =
             meetsSlos(low, high, managed.powerBrakeEvents, slos);
-        if (ok)
+        int deployed = config.row.deployedServers();
+        if (ok) {
             best = added;
+            extra = deployed - baseServers;
+        }
 
-        int deployed = baseServers +
-            static_cast<int>(added * baseServers + 0.5);
         table.row()
             .percentCell(added, 0)
             .cell(static_cast<long long>(deployed))
@@ -68,7 +70,6 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    int extra = static_cast<int>(best * baseServers + 0.5);
     std::printf("\nRecommendation: deploy %d extra servers (+%.0f%%) "
                 "under the existing %.0f kW budget.\n", extra,
                 best * 100.0, baseServers * 4950.0 / 1000.0);

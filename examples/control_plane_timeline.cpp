@@ -62,7 +62,7 @@ makeConfig()
     config.policy = core::PolicyConfig::polca();
     config.duration = sim::secondsToTicks(6 * 3600.0);
     config.seed = 42;
-    config.breakerLimitFraction = 1.05;
+    config.topology.rowBreakerLimitFraction = 1.05;
     // A telemetry blackout makes the timeline interesting: the
     // manager goes blind mid-ramp and the watchdog's fail-safe
     // window shows up as an F mark.

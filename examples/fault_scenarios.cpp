@@ -20,8 +20,9 @@
  * is the watchdog.
  *
  * Part 2 is declared in scenarios/blackout_watchdog.toml — a
- * two-point [sweep] over manager.watchdog_enabled — and executed
- * here through the scenario layer and core::SweepRunner, exactly as
+ * two-point [sweep] over manager.watchdog_enabled, read from the
+ * source tree the example was built from — and executed here
+ * through the scenario layer and core::SweepRunner, exactly as
  * `polcactl run --scenario-file` would.
  *
  * Build & run:
@@ -30,7 +31,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -58,7 +58,7 @@ sweepScenarios()
     base.policy = core::PolicyConfig::polca();
     base.duration = sim::secondsToTicks(6 * 3600.0);
     base.seed = 42;
-    base.breakerLimitFraction = 1.05;
+    base.topology.rowBreakerLimitFraction = 1.05;
 
     int numServers = base.row.deployedServers();
 
@@ -115,57 +115,13 @@ spotlightBlackout()
     // The scenario file carries the whole setup: +50% servers under
     // a 1.05x breaker, a steep traffic ramp peaking at 95% busy
     // 4.5 h in, telemetry dark from t=5 min for 3.5 h, and a [sweep]
-    // axis over manager.watchdog_enabled.  The embedded copy mirrors
-    // scenarios/blackout_watchdog.toml so the example runs from any
-    // working directory.
-    static const char *kSpotlightScenario = R"toml(
-[experiment]
-duration = 6h
-seed = 42
-breaker_limit_fraction = 1.05
-
-[row]
-base_servers = 24
-added_server_fraction = 50%
-
-[policy]
-preset = "polca"
-
-[workload.diurnal]
-base_utilization = 40%
-daily_amplitude = 55%
-noise_amplitude = 0.5%
-peak_seconds_of_day = 4.5h
-
-[faults]
-[[faults.blackouts]]
-start = 5min
-duration = 3.5h
-
-[sweep]
-"manager.watchdog_enabled" = [false, true]
-)toml";
-
+    // axis over manager.watchdog_enabled.
+    const char *source = "scenarios/blackout_watchdog.toml";
     config::Diagnostics diag;
-    config::ScenarioSet scenario;
-    const char *source = nullptr;
-    for (const char *path :
-         {"scenarios/blackout_watchdog.toml",
-          "../scenarios/blackout_watchdog.toml",
-          "../../scenarios/blackout_watchdog.toml"}) {
-        std::ifstream probe(path);
-        if (probe) {
-            scenario = config::loadScenarioFile(path, {}, diag);
-            source = path;
-            break;
-        }
-    }
-    if (!source) {
-        scenario = config::loadScenarioString(
-            kSpotlightScenario, "blackout_watchdog (embedded)", {},
-            diag);
-        source = "embedded scenario";
-    }
+    std::string path = POLCA_SOURCE_DIR "/";
+    path += source;
+    config::ScenarioSet scenario =
+        config::loadScenarioFile(path, {}, diag);
     if (!diag.ok()) {
         std::fprintf(stderr, "%s\n", diag.str().c_str());
         return 2;

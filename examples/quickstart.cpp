@@ -2,8 +2,9 @@
  * @file
  * Quickstart: run the paper's headline experiment — a 40-server
  * BLOOM inference row oversubscribed by 30% under the POLCA policy —
- * from its declarative scenario file (scenarios/quickstart.toml),
- * and print the headline metrics.
+ * from its declarative scenario file (scenarios/quickstart.toml, read
+ * from the source tree the example was built from), and print the
+ * headline metrics.
  *
  * Build & run:
  *   cmake -B build -G Ninja && cmake --build build
@@ -11,60 +12,23 @@
  */
 
 #include <cstdio>
-#include <fstream>
 
 #include "config/scenario.hh"
 #include "core/oversub_experiment.hh"
 #include "sim/logging.hh"
 
-namespace {
-
-using namespace polca;
-
-/** The shipped scenario, embedded as a fallback so the example runs
- *  from any working directory.  Mirrors scenarios/quickstart.toml. */
-const char *kQuickstartScenario = R"toml(
-[experiment]
-duration = 2d
-seed = 42
-
-[row]
-base_servers = 40
-added_server_fraction = 30%
-
-[policy]
-preset = "polca"
-)toml";
-
-/** Load scenarios/quickstart.toml from the usual run directories,
- *  falling back to the embedded copy. */
-config::ScenarioSet
-loadQuickstart(config::Diagnostics &diag)
-{
-    for (const char *path : {"scenarios/quickstart.toml",
-                             "../scenarios/quickstart.toml",
-                             "../../scenarios/quickstart.toml"}) {
-        std::ifstream probe(path);
-        if (probe)
-            return config::loadScenarioFile(path, {}, diag);
-    }
-    return config::loadScenarioString(kQuickstartScenario,
-                                      "quickstart (embedded)", {},
-                                      diag);
-}
-
-} // namespace
-
 int
 main()
 {
+    using namespace polca;
     sim::setQuiet(true);
 
     // 1. One scenario file describes the whole experiment: the
     //    deployment, the policy, and the run parameters.  Resolution
     //    order is struct defaults < file < --set overrides < sweep.
     config::Diagnostics diag;
-    config::ScenarioSet scenario = loadQuickstart(diag);
+    config::ScenarioSet scenario = config::loadScenarioFile(
+        POLCA_SOURCE_DIR "/scenarios/quickstart.toml", {}, diag);
     if (!diag.ok()) {
         std::fprintf(stderr, "%s\n", diag.str().c_str());
         return 2;

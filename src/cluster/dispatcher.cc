@@ -95,9 +95,6 @@ Dispatcher::addServer(InferenceServer *server)
                 lowLatency_.add(seconds);
                 ++lowCompletions_;
             }
-            if (c.request.workloadIndex >= byWorkload_.size())
-                byWorkload_.resize(c.request.workloadIndex + 1);
-            byWorkload_[c.request.workloadIndex].add(seconds);
             if (completionStat_)
                 ++*completionStat_;
             onCompletion(s);
@@ -186,7 +183,6 @@ Dispatcher::saveState() const
     state.centralHigh = centralHigh_;
     state.lowLatency = lowLatency_;
     state.highLatency = highLatency_;
-    state.byWorkload = byWorkload_;
     state.lowArrivals = lowArrivals_;
     state.highArrivals = highArrivals_;
     state.lowCompletions = lowCompletions_;
@@ -209,7 +205,6 @@ Dispatcher::restoreState(const State &state,
     centralHigh_ = state.centralHigh;
     lowLatency_ = state.lowLatency;
     highLatency_ = state.highLatency;
-    byWorkload_ = state.byWorkload;
     lowArrivals_ = state.lowArrivals;
     highArrivals_ = state.highArrivals;
     lowCompletions_ = state.lowCompletions;

@@ -63,7 +63,6 @@ class Dispatcher
         std::deque<workload::Request> centralHigh;
         sim::Sampler lowLatency;
         sim::Sampler highLatency;
-        std::vector<sim::Sampler> byWorkload;
         std::uint64_t lowArrivals = 0;
         std::uint64_t highArrivals = 0;
         std::uint64_t lowCompletions = 0;
@@ -100,12 +99,6 @@ class Dispatcher
 
     /** Completed requests per second of simulated time so far. */
     double throughput(workload::Priority p) const;
-
-    /** Per-workload-class latency samplers (index = workloadIndex). */
-    const std::vector<sim::Sampler> &latencyByWorkload() const
-    {
-        return byWorkload_;
-    }
     /** @} */
 
   private:
@@ -157,7 +150,6 @@ class Dispatcher
     std::deque<workload::Request> centralHigh_;
     sim::Sampler lowLatency_;
     sim::Sampler highLatency_;
-    std::vector<sim::Sampler> byWorkload_;
     std::uint64_t lowArrivals_ = 0;
     std::uint64_t highArrivals_ = 0;
     std::uint64_t lowCompletions_ = 0;

@@ -26,6 +26,16 @@ TopologyConfig::numServers() const
     return total;
 }
 
+telemetry::BreakerModel::Config
+TopologyConfig::breaker(double budgetWatts, double limitFraction) const
+{
+    telemetry::BreakerModel::Config breaker;
+    breaker.provisionedWatts = budgetWatts;
+    breaker.breakerLimitWatts = budgetWatts * limitFraction;
+    breaker.tripDuration = breakerTripDuration;
+    return breaker;
+}
+
 llm::ModelSpec
 effectiveModelSpec(const RowConfig &row)
 {
@@ -163,36 +173,23 @@ Site::Site(sim::Simulation &sim, const TopologyConfig &config,
                                  shared);
                 }
                 if (config.rackBreakerLimitFraction > 0.0) {
-                    telemetry::BreakerModel::Config breaker;
-                    breaker.provisionedWatts =
+                    rack.armBreaker(config.breaker(
                         group.provisionedPerServerWatts *
-                        group.serversPerRack;
-                    breaker.breakerLimitWatts =
-                        breaker.provisionedWatts *
-                        config.rackBreakerLimitFraction;
-                    breaker.tripDuration = config.breakerTripDuration;
-                    rack.armBreaker(breaker);
+                            group.serversPerRack,
+                        config.rackBreakerLimitFraction));
                 }
             }
             if (config.rowBreakerLimitFraction > 0.0) {
-                telemetry::BreakerModel::Config breaker;
-                breaker.provisionedWatts = rowBudget;
-                breaker.breakerLimitWatts =
-                    rowBudget * config.rowBreakerLimitFraction;
-                breaker.tripDuration = config.breakerTripDuration;
-                rowDomain.armBreaker(breaker);
+                rowDomain.armBreaker(config.breaker(
+                    rowBudget, config.rowBreakerLimitFraction));
             }
             rows_.push_back(std::move(siteRow));
         }
     }
 
     if (config.siteBreakerLimitFraction > 0.0) {
-        telemetry::BreakerModel::Config breaker;
-        breaker.provisionedWatts = root_->budgetWatts();
-        breaker.breakerLimitWatts =
-            root_->budgetWatts() * config.siteBreakerLimitFraction;
-        breaker.tripDuration = config.breakerTripDuration;
-        root_->armBreaker(breaker);
+        root_->armBreaker(config.breaker(
+            root_->budgetWatts(), config.siteBreakerLimitFraction));
     }
     root_->finalize();
 }

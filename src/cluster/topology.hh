@@ -35,6 +35,7 @@
 #include "power/server_model.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
+#include "telemetry/breaker_model.hh"
 
 namespace polca::cluster {
 
@@ -134,7 +135,12 @@ struct TopologyRowGroup
     double provisionedPerServerWatts = 4950.0;
 };
 
-/** The `[topology]` section: per-level counts, budgets, breakers. */
+/**
+ * The `[topology]` section: per-level counts, budgets, breakers.  The
+ * row breaker keys (rowBreakerLimitFraction, breakerTripDuration)
+ * also arm the flat row's breaker, enabled or not: the flat row is
+ * the one-row tree.
+ */
 struct TopologyConfig
 {
     /** Build the site tree instead of the single flat row. */
@@ -153,7 +159,8 @@ struct TopologyConfig
 
     /** @name Breaker trip limits, as multiples of the level budget
      *  (NEC-style 80 % continuous rating -> 1.25x).  0 = no breaker
-     *  at that level. */
+     *  at that level; otherwise at least 1 (the scenario binder
+     *  rejects a breaker below its budget). */
     /** @{ */
     double rackBreakerLimitFraction = 0.0;
     double rowBreakerLimitFraction = 1.25;
@@ -167,6 +174,11 @@ struct TopologyConfig
 
     int numRows() const;
     int numServers() const;
+
+    /** A breaker over a level budget of @p budgetWatts tripping at
+     *  @p limitFraction of it after breakerTripDuration. */
+    telemetry::BreakerModel::Config breaker(double budgetWatts,
+                                            double limitFraction) const;
 };
 
 /** True when @p name is a valid TopologyRowGroup::name: non-empty

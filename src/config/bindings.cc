@@ -258,7 +258,8 @@ topologyConfigSchema()
                    Unit::Fraction, 0.05, 2.0)
             .field("site_budget_fraction", &T::siteBudgetFraction,
                    Unit::Fraction, 0.05, 2.0)
-            // 0 disarms the breaker at that level.
+            // 0 disarms the breaker at that level; the row pair
+            // also arms the flat row's.
             .field("rack_breaker_limit_fraction",
                    &T::rackBreakerLimitFraction, Unit::Fraction, 0.0,
                    5.0)
@@ -384,12 +385,7 @@ experimentSchema()
             .field("power_scale_factor", &E::powerScaleFactor,
                    Unit::Fraction, 0.1, 10.0)
             .boolField("record_row_series", &E::recordRowSeries)
-            .boolField("auto_balance_pools", &E::autoBalancePools)
-            .boolField("model_breaker", &E::modelBreaker)
-            .field("breaker_limit_fraction", &E::breakerLimitFraction,
-                   Unit::Fraction, 0.5, 5.0)
-            .tickField("breaker_trip_duration",
-                       &E::breakerTripDuration, 0.1, 86400.0);
+            .boolField("auto_balance_pools", &E::autoBalancePools);
         return s;
     }();
     return schema;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "core/thread_pool.hh"
 #include "obs/manifest.hh"
@@ -519,6 +520,26 @@ bindTopology(const ConfigNode &root, core::ExperimentConfig &config,
 
     bool ok = topologyConfigSchema().apply(*section, config.topology,
                                            diag, {"rows"});
+    // A breaker below its budget would trip on every busy reading
+    // (BreakerModel refuses one): 0 (no breaker) or at least 1.
+    const cluster::TopologyConfig &topology = config.topology;
+    for (const auto &[key, fraction] :
+         {std::pair{"rack_breaker_limit_fraction",
+                    topology.rackBreakerLimitFraction},
+          std::pair{"row_breaker_limit_fraction",
+                    topology.rowBreakerLimitFraction},
+          std::pair{"site_breaker_limit_fraction",
+                    topology.siteBreakerLimitFraction}}) {
+        if (fraction > 0.0 && fraction < 1.0) {
+            const ConfigNode *node = section->find(key);
+            diag.error(node ? node->loc : section->loc,
+                       std::string("topology.") + key + " = " +
+                           formatDouble(fraction) +
+                           " is below the level budget (use 0 for no "
+                           "breaker, or at least 1)");
+            ok = false;
+        }
+    }
 
     if (const ConfigNode *rows = section->find("rows")) {
         llm::ModelCatalog catalog;
@@ -613,9 +634,11 @@ bindExperiment(const ConfigNode &root, core::ExperimentConfig &config,
         if (!bindRow(*row, config.row, diag))
             ok = false;
     }
+    // A policy preset may solve its locks for the row's model
+    // ("aware"), so the policy binds only once the model has.
     if (!bindModel(root, config.row, diag))
         ok = false;
-    if (!bindPolicy(root, config.row, config.policy, diag))
+    else if (!bindPolicy(root, config.row, config.policy, diag))
         ok = false;
     if (const ConfigNode *manager = root.find("manager")) {
         if (!managerOptionsSchema().apply(*manager, config.manager,
@@ -952,20 +975,23 @@ one(const Dump &d, const StructSchema<T> &schema, const T &obj,
 }
 
 /** One `[[path]]` block per element of @p items, as one() writes a
- *  section; element i takes its provenance from element i of the
- *  source list. */
+ *  section.  The source list's entries are the last ones of
+ *  @p items (a `[faults] scenario` preset's entries come first), so
+ *  source entry j gives element (preset count + j) its provenance. */
 template <typename T>
 void
 each(const Dump &d, const StructSchema<T> &schema,
      const std::vector<T> &items, const std::string &fallback = "default")
 {
     const ConfigNode *list = d.src.findPath(schema.name());
+    std::size_t listed = list && list->kind == ConfigNode::Kind::List
+        ? list->items.size() : 0;
+    std::size_t presets = items.size() - std::min(listed, items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
         const ConfigNode *element = nullptr;
-        if (list && list->kind == ConfigNode::Kind::List &&
-            i < list->items.size() &&
-            list->items[i].kind == ConfigNode::Kind::Section)
-            element = &list->items[i];
+        if (i >= presets &&
+            list->items[i - presets].kind == ConfigNode::Kind::Section)
+            element = &list->items[i - presets];
         d.os << "[[" << schema.name() << "]]\n";
         schema.dump(items[i], element, d.os, fallback, d.omit);
         d.os << "\n";

@@ -121,10 +121,12 @@ void dumpResolved(const core::ExperimentConfig &config,
  * [manager], [safety], [faults*], [chaos] — and the [experiment]
  * keys that only steer the control plane or post-run reporting
  * (`managed`, `record_row_series`).  Two points with equal
- * digests share a bit-identical physical trajectory up to
+ * digests share one physical configuration, and so one unthrottled
+ * baseline, and a bit-identical physical trajectory up to
  * t = warmup, because the control plane does not exist before the
- * boundary in a warmup run: that is the grouping key for
- * checkpoint/branch sweep execution (core::SweepPoint::warmupKey).
+ * boundary in a warmup run: that is the key under which a sweep
+ * shares baselines and branches warmups
+ * (core::SweepPoint::warmupKey).
  */
 std::string warmupDigest(const core::ExperimentConfig &config,
                          const ConfigNode &source);

@@ -278,30 +278,19 @@ buildManagers(World &world)
     }
 }
 
-/** Flat row: the breaker knobs come from the experiment config over
- *  the row budget; site trees arm theirs from [topology]. */
-telemetry::BreakerModel::Config
-flatBreakerConfig(const World &world)
-{
-    double provisioned = world.site.root().budgetWatts();
-    telemetry::BreakerModel::Config breaker;
-    breaker.provisionedWatts = provisioned;
-    breaker.breakerLimitWatts =
-        provisioned * world.config.breakerLimitFraction;
-    breaker.tripDuration = world.config.breakerTripDuration;
-    return breaker;
-}
-
-/** Flat row: arm the physical row breaker on the root.  It watches
- *  the raw electrical draw — not the row telemetry — so it keeps
- *  seeing power through telemetry blackouts. */
+/** Flat row: arm the physical row breaker on the root from the
+ *  `[topology]` row keys, as a site arms each row's (0 = none).  It
+ *  watches the raw electrical draw — not the row telemetry — so it
+ *  keeps seeing power through telemetry blackouts. */
 void
 armFlatBreaker(World &world)
 {
-    if (!world.flat || !world.config.modelBreaker)
+    const cluster::TopologyConfig &topology = world.config.topology;
+    if (!world.flat || topology.rowBreakerLimitFraction <= 0.0)
         return;
     cluster::PowerDomain &root = world.site.root();
-    root.armBreaker(flatBreakerConfig(world));
+    root.armBreaker(topology.breaker(root.budgetWatts(),
+                                     topology.rowBreakerLimitFraction));
     if (world.obs)
         root.breaker()->attachObservability(world.obs);
 }
@@ -347,15 +336,9 @@ safetyLimits(const World &world, const cluster::PowerDomain &domain)
     const ExperimentConfig &config = world.config;
     SafetyMonitor::Limits limits;
     limits.provisionedWatts = domain.budgetWatts();
-    // The trip envelope.  Flat row: the experiment's breaker knobs,
-    // armed or not.  Site domains: the armed breaker, else the
-    // NEC-style default a row breaker would have.
-    if (world.flat) {
-        telemetry::BreakerModel::Config breaker = flatBreakerConfig(world);
-        limits.breakerLimitWatts = breaker.breakerLimitWatts;
-        limits.breakerGrace = breaker.tripDuration;
-    } else if (const telemetry::BreakerModel *breaker =
-                   domain.breaker()) {
+    // The trip envelope: the armed breaker, else the NEC-style
+    // default a row breaker would have.
+    if (const telemetry::BreakerModel *breaker = domain.breaker()) {
         limits.breakerLimitWatts = breaker->breakerLimitWatts();
         limits.breakerGrace = breaker->tripDuration();
     } else {
@@ -641,14 +624,10 @@ collectLatency(std::vector<cluster::Site::SiteRow> &rows,
             dispatcher.latencySeconds(workload::Priority::Low));
         result.high = LatencyStats::from(
             dispatcher.latencySeconds(workload::Priority::High));
-        for (const sim::Sampler &sampler :
-             dispatcher.latencyByWorkload())
-            result.byWorkload.push_back(LatencyStats::from(sampler));
         return;
     }
     sim::Sampler lowAll;
     sim::Sampler highAll;
-    std::vector<sim::Sampler> byWorkload;
     for (cluster::Site::SiteRow &row : rows) {
         const cluster::Dispatcher &dispatcher = *row.dispatcher;
         for (double v :
@@ -657,19 +636,9 @@ collectLatency(std::vector<cluster::Site::SiteRow> &rows,
         for (double v :
              dispatcher.latencySeconds(workload::Priority::High).values())
             highAll.add(v);
-        const std::vector<sim::Sampler> &perClass =
-            dispatcher.latencyByWorkload();
-        if (byWorkload.size() < perClass.size())
-            byWorkload.resize(perClass.size());
-        for (std::size_t w = 0; w < perClass.size(); ++w) {
-            for (double v : perClass[w].values())
-                byWorkload[w].add(v);
-        }
     }
     result.low = LatencyStats::from(lowAll);
     result.high = LatencyStats::from(highAll);
-    for (const sim::Sampler &sampler : byWorkload)
-        result.byWorkload.push_back(LatencyStats::from(sampler));
 }
 
 /** Per-level rollup, pre-order so the site leads the table, and

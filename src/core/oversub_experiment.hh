@@ -5,7 +5,10 @@
  * site), generate (or accept) a request trace per row scaled to its
  * deployed server count, attach a power manager with a policy to
  * every row, run, and report the paper's metrics — per-priority
- * p50/p99/max latency, throughput, and power-brake counts.
+ * p50/p99/max latency, throughput, and power-brake counts.  Every
+ * row, the flat one included, is armed with the breaker the
+ * `[topology]` row keys describe; each latency is stored once, in
+ * its row dispatcher's per-priority sampler.
  */
 
 #pragma once
@@ -22,6 +25,7 @@
 #include "faults/chaos.hh"
 #include "faults/fault_plan.hh"
 #include "obs/observability.hh"
+#include "sim/stats.hh"
 #include "sim/timeseries.hh"
 #include "telemetry/breaker_model.hh"
 #include "workload/diurnal.hh"
@@ -57,7 +61,9 @@ struct ExperimentConfig
      * builds the heterogeneous servers → racks → rows → site tree
      * described by the groups (with `row` supplying the shared
      * per-server knobs).  Either way one harness runs every row's
-     * serving cell under the tree's breakers and budgets.
+     * serving cell under the tree's breakers and budgets, and the
+     * row breaker keys (rowBreakerLimitFraction, 0 = none, and
+     * breakerTripDuration) also arm the flat row's breaker.
      */
     cluster::TopologyConfig topology;
 
@@ -153,18 +159,6 @@ struct ExperimentConfig
 
     /** Arm the runtime safety-invariant monitor for the run. */
     SafetyOptions safety;
-
-    /** Model the physical row breaker and violation accounting
-     *  (flat row; site trees arm theirs from [topology]). */
-    bool modelBreaker = true;
-
-    /** Breaker trip limit as a multiple of provisioned power
-     *  (NEC-style 80 % continuous rating -> 1.25x trip limit). */
-    double breakerLimitFraction = 1.25;
-
-    /** Sustained time above the trip limit before the breaker
-     *  trips. */
-    sim::Tick breakerTripDuration = sim::secondsToTicks(30);
 
     /**
      * Observability sink (metrics + trace) threaded through every
@@ -302,10 +296,6 @@ struct ExperimentResult
     /** Row energy over the run and its per-request share. */
     double energyKwh = 0.0;
     double energyPerRequestKj = 0.0;
-
-    /** Per-workload-class latency (index = position in the mix:
-     *  Summarize / Search / Chat for the Table 6 default). */
-    std::vector<LatencyStats> byWorkload;
 
     sim::Tick lpLockedTicks = 0;
     sim::Tick hpLockedTicks = 0;

@@ -216,7 +216,6 @@ PowerManager::onReading(sim::Tick now, double watts)
     }
 
     double utilization = watts / provisionedWatts_;
-    utilization_.add(utilization);
 
     // Trailing-mean smoothing for threshold decisions.  Readings
     // taken while the brake is engaged are artificially low and

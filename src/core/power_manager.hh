@@ -32,7 +32,6 @@
 #include "obs/observability.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
-#include "sim/stats.hh"
 #include "telemetry/domain_manager.hh"
 #include "telemetry/smbpbi.hh"
 
@@ -196,14 +195,6 @@ class PowerManager : public faults::ControllerHooks
     std::uint64_t capCommands() const { return capCommands_; }
     std::uint64_t uncapCommands() const { return uncapCommands_; }
     std::uint64_t reissuedCommands() const { return reissued_; }
-
-    /** Max/mean row utilization seen by telemetry. */
-    double maxUtilization() const { return utilization_.max(); }
-    double meanUtilization() const { return utilization_.mean(); }
-    const sim::Accumulator &utilizationStats() const
-    {
-        return utilization_;
-    }
 
     /** Total time the pool has spent under a non-zero desired lock. */
     sim::Tick lockedTicks(workload::Priority pool) const;
@@ -387,7 +378,6 @@ class PowerManager : public faults::ControllerHooks
     sim::Tick capsHeldStaleTicks_ = 0;
     sim::Tick staleTicks_ = 0;
     sim::Tick brakeTicks_ = 0;
-    sim::Accumulator utilization_;
 
     obs::Observability *obs_ = nullptr;
     obs::TraceRecorder *trace_ = nullptr;

@@ -41,37 +41,33 @@ SweepRunner::artifactStem(const std::string &label, std::size_t index)
 }
 
 void
-SweepRunner::planBranches()
+SweepRunner::plan()
 {
     std::size_t n = points_.size();
     group_.assign(n, -1);
+    baselineOwner_.resize(n);
     groupLeader_.clear();
     groupPromises_.clear();
     groupSnapshots_.clear();
-    if (!options_.branch)
-        return;
 
-    std::map<std::string, int> byKey;
+    std::map<std::string, std::size_t> firstWithKey;
     for (std::size_t i = 0; i < n; ++i) {
         const SweepPoint &point = points_[i];
-        if (point.config.warmup <= 0)
+        std::size_t first = i;
+        if (!point.warmupKey.empty())
+            first = firstWithKey.emplace(point.warmupKey, i).first->second;
+        baselineOwner_[i] = first;
+        if (!options_.branch || point.config.warmup <= 0)
             continue;
         // Surface fault-plan/warmup conflicts before any point has
         // burned simulation time.
         validateWarmupConfig(point.config);
-        int g = -1;
-        if (!point.warmupKey.empty()) {
-            auto it = byKey.find(point.warmupKey);
-            if (it != byKey.end())
-                g = it->second;
-        }
-        if (g < 0) {
-            g = static_cast<int>(groupLeader_.size());
+        if (first == i) {
+            group_[i] = static_cast<int>(groupLeader_.size());
             groupLeader_.push_back(i);
-            if (!point.warmupKey.empty())
-                byKey.emplace(point.warmupKey, g);
+        } else {
+            group_[i] = group_[first];
         }
-        group_[i] = g;
     }
 
     groupPromises_ = std::vector<
@@ -137,25 +133,14 @@ SweepRunner::runBaseline(std::size_t index)
     results_[index].baseline = runOversubExperiment(base);
 }
 
-std::size_t
-SweepRunner::baselineOwner(std::size_t index) const
-{
-    // Members of a group differ only in control-plane sections, and
-    // unthrottledBaseline() removes the control plane (no manager,
-    // no faults or chaos, no safety monitor), so every member's
-    // baseline is the same run: simulate it once, for the leader.
-    int g = group_[index];
-    return g >= 0 ? groupLeader_[static_cast<std::size_t>(g)] : index;
-}
-
 void
 SweepRunner::finishPoint(std::size_t index, obs::Observability *sink)
 {
     SweepPointResult &out = results_[index];
     if (options_.runBaseline) {
-        // A group's leader is its lowest index, so its baseline is
-        // finished before any other member gets here.
-        std::size_t owner = baselineOwner(index);
+        // A baseline's owner is the lowest index sharing it, so its
+        // baseline is finished before any other sharer gets here.
+        std::size_t owner = baselineOwner_[index];
         if (owner != index)
             out.baseline = results_[owner].baseline;
         out.lowNorm = normalizeLatency(out.result.low,
@@ -208,7 +193,7 @@ SweepRunner::runSequential()
         }
         obs::Observability obs;
         obs::Observability *sink = runManaged(i, &obs);
-        if (options_.runBaseline && baselineOwner(i) == i)
+        if (options_.runBaseline && baselineOwner_[i] == i)
             runBaseline(i);
         finishPoint(i, sink);
     }
@@ -256,7 +241,7 @@ SweepRunner::runParallel(int jobs)
                     return runManaged(i, sinks[i].get());
                 });
             }
-            if (options_.runBaseline && baselineOwner(i) == i) {
+            if (options_.runBaseline && baselineOwner_[i] == i) {
                 baselines[i] = pool.submit([this, i] {
                     runBaseline(i);
                 });
@@ -267,7 +252,7 @@ SweepRunner::runParallel(int jobs)
         // progress come out in the same order as a jobs=1 run.
         for (std::size_t i = 0; i < n; ++i) {
             obs::Observability *sink = managed[i].get();
-            if (options_.runBaseline && baselineOwner(i) == i)
+            if (options_.runBaseline && baselineOwner_[i] == i)
                 baselines[i].get();
             finishPoint(i, sink);
             if (options_.echoProgress) {
@@ -330,7 +315,19 @@ SweepRunner::run()
     results_.resize(points_.size());
     artifacts_.clear();
 
-    planBranches();
+    plan();
+    if (options_.echoProgress && options_.runBaseline) {
+        std::size_t baselines = 0;
+        for (std::size_t i = 0; i < baselineOwner_.size(); ++i)
+            baselines += baselineOwner_[i] == i;
+        if (baselines < points_.size()) {
+            std::printf("[sweep] %zu unthrottled baseline%s for %zu "
+                        "points\n",
+                        baselines, baselines == 1 ? "" : "s",
+                        points_.size());
+            std::fflush(stdout);
+        }
+    }
     if (options_.echoProgress && !groupLeader_.empty()) {
         std::size_t branched = 0;
         for (int g : group_)

@@ -19,16 +19,20 @@
  * point simulates in its own Simulation/EventQueue with its own
  * observability sink, so tasks share no mutable state.
  *
+ * Points with the same SweepPoint::warmupKey share one physical
+ * configuration, so they share one unthrottled baseline, at any
+ * warmup and with or without branching: the first such point runs
+ * it and every later one copies it (they differ only in
+ * control-plane sections, which unthrottledBaseline() removes).
+ *
  * With SweepOptions::branch (the default) and warmup > 0, points
- * sharing a warmup prefix (SweepPoint::warmupKey) simulate the prefix
- * once: the group leader runs its warmup live, captures a
- * core::WarmupSnapshot at the boundary, and every other member forks
- * from the immutable in-memory snapshot instead of re-simulating
- * [0, warmup).  The group's unthrottled baseline is simulated once,
- * also forked from the snapshot, and copied to every member: members
- * differ only in control-plane sections, which unthrottledBaseline()
- * removes.  Branched runs are bit-exact continuations, so all
- * artifacts stay byte-identical to a branch = false sweep.
+ * with the same key also simulate their warmup prefix once: the
+ * group leader runs its warmup live, captures a core::WarmupSnapshot
+ * at the boundary, and every other member, and the group's one
+ * baseline, forks from the immutable in-memory snapshot instead of
+ * re-simulating [0, warmup).  Branched runs are bit-exact
+ * continuations, so all artifacts stay byte-identical to a
+ * branch = false sweep.
  */
 
 #pragma once
@@ -57,20 +61,20 @@ struct SweepPoint
     ExperimentConfig config;
 
     /**
-     * Grouping key for checkpoint/branch execution: points with the
-     * same non-empty key and config.warmup > 0 share a bit-identical
-     * physical trajectory up to t = warmup (config::warmupDigest
-     * fills this from the resolved dump with the control-plane
-     * sections filtered out).  The runner simulates the warmup once
-     * per distinct key, forks every member from the in-memory
-     * snapshot, and runs one unthrottled baseline for the whole
-     * group.  Equal keys therefore promise equal configs outside the
-     * control plane (policy, manager, safety, faults, chaos,
-     * `managed`, `recordRowSeries`); a hand-made key must keep that
-     * promise.  A differing seed or duration panics at restore time;
-     * other physical differences go undetected.  Empty key: the point
-     * still branches its own baseline off its managed warmup when
-     * warmup > 0, but shares nothing with other points.
+     * Physical-configuration key (config::warmupDigest fills it from
+     * the resolved dump with the control-plane sections filtered
+     * out).  Points with the same non-empty key share one
+     * unthrottled baseline at any warmup; with warmup > 0 and
+     * branching on they also share a bit-identical trajectory up to
+     * t = warmup, which the runner simulates once and forks every
+     * member from.  Equal keys therefore promise equal configs
+     * outside the control plane (policy, manager, safety, faults,
+     * chaos, `managed`, `recordRowSeries`) and the same external
+     * trace; a hand-made key must keep that promise.  A differing
+     * seed or duration panics at restore time; other physical
+     * differences go undetected.  Empty key: the point shares
+     * nothing with other points, but still branches its own baseline
+     * off its managed warmup when warmup > 0.
      */
     std::string warmupKey;
 };
@@ -81,8 +85,9 @@ struct SweepOptions
      *  writes no artifacts. */
     std::string artifactDir;
 
-    /** Also run the unthrottled baseline per point and normalize
-     *  latencies against it. */
+    /** Also run the unthrottled baseline, once per physical
+     *  configuration (SweepPoint::warmupKey), and normalize every
+     *  point's latencies against it. */
     bool runBaseline = true;
 
     /** Print a one-line progress note per point. */
@@ -163,11 +168,6 @@ class SweepRunner
      *  results_[index].baseline. */
     void runBaseline(std::size_t index);
 
-    /** The point whose baseline point @p index reuses: its group
-     *  leader when it branches (one baseline per warmup group), else
-     *  the point itself. */
-    std::size_t baselineOwner(std::size_t index) const;
-
     /** Adopt a shared baseline, normalize latencies and write the
      *  per-point artifact CSV. */
     void finishPoint(std::size_t index, obs::Observability *sink);
@@ -177,22 +177,28 @@ class SweepRunner
     void writeSummary();
 
     /**
-     * Group points for checkpoint/branch execution (fills group_,
-     * groupLeader_, groupPromises_, groupSnapshots_).  Points with
-     * warmup > 0 and the same non-empty warmupKey share one group; a
-     * point with an empty key forms a group of its own (its baseline
-     * still branches off its managed warmup).  The group leader —
-     * the lowest point index — runs its managed warmup live and
-     * fulfills the group's snapshot promise; every other run of the
-     * group blocks on the shared future and resumes from the
-     * snapshot.  Fails fast (sim::fatal) on configs whose fault plan
-     * cannot honor a warmup boundary.
+     * Assign baselines and branch groups (fills baselineOwner_,
+     * group_, groupLeader_, groupPromises_, groupSnapshots_).  Points
+     * with the same non-empty warmupKey share the baseline of the
+     * first of them.  With branching on, points with warmup > 0 and
+     * the same non-empty key also share one group; a point with an
+     * empty key forms a group of its own (its baseline still
+     * branches off its managed warmup).  The group leader — the
+     * lowest point index — runs its managed warmup live and fulfills
+     * the group's snapshot promise; every other run of the group
+     * blocks on the shared future and resumes from the snapshot.
+     * Fails fast (sim::fatal) on configs whose fault plan cannot
+     * honor a warmup boundary.
      */
-    void planBranches();
+    void plan();
 
     std::vector<SweepPoint> points_;
     SweepOptions options_;
     std::vector<SweepPointResult> results_;
+
+    /** Per-point index of the point whose baseline it reuses (the
+     *  lowest index with its key; itself for an empty key). */
+    std::vector<std::size_t> baselineOwner_;
 
     /** Per-point group id, -1 = unbranched (warmup == 0 or branching
      *  disabled). */

@@ -262,6 +262,17 @@ TEST(SchemaHostile, UnknownKeySuggestion)
         EXPECT_NE(err.find("unknown key '" + std::string(key) + "'"),
                   std::string::npos) << err;
     }
+
+    // The flat row's breaker reads the [topology] row keys; the
+    // [experiment] spellings are gone.
+    core::ExperimentConfig experiment;
+    for (const char *key : {"model_breaker", "breaker_limit_fraction",
+                            "breaker_trip_duration"}) {
+        err = applyError(experimentSchema(), std::string(key) + " = 1\n",
+                         experiment);
+        EXPECT_NE(err.find("unknown key '" + std::string(key) + "'"),
+                  std::string::npos) << err;
+    }
 }
 
 TEST(SchemaHostile, ScalarExpected)

@@ -127,23 +127,6 @@ TEST(Dispatcher, ThroughputReflectsCompletions)
                 1e-6);
 }
 
-TEST(Dispatcher, PerWorkloadLatencyTracked)
-{
-    Fixture f(2, 0);
-    Trace trace;
-    Request r;
-    r.arrival = 0;
-    r.priority = Priority::Low;
-    r.workloadIndex = 2;
-    r.inputTokens = 1024;
-    r.outputTokens = 64;
-    trace.add(r);
-    f.dispatcher.injectTrace(trace);
-    f.sim.runFor(secondsToTicks(60));
-    ASSERT_GE(f.dispatcher.latencyByWorkload().size(), 3u);
-    EXPECT_EQ(f.dispatcher.latencyByWorkload()[2].count(), 1u);
-}
-
 TEST(DispatcherDeath, NoPoolServersFatal)
 {
     Fixture f(1, 0);

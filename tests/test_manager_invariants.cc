@@ -162,15 +162,6 @@ TEST_P(RandomWalk, BrakeStateConsistentWithTargets)
     }
 }
 
-TEST_P(RandomWalk, UtilizationStatsAreSane)
-{
-    Harness h(GetParam());
-    h.walk(300);
-    EXPECT_GT(h.manager.meanUtilization(), 0.0);
-    EXPECT_GE(h.manager.maxUtilization(), h.manager.meanUtilization());
-    EXPECT_LE(h.manager.maxUtilization(), 1.2);
-}
-
 TEST_P(RandomWalk, LockedTimeNeverExceedsWallTime)
 {
     Harness h(GetParam());

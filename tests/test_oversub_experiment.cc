@@ -40,19 +40,6 @@ TEST(OversubExperiment, BaselineServesTrafficWithinBudget)
     EXPECT_LT(result.maxUtilization, 0.95);
 }
 
-TEST(OversubExperiment, PerWorkloadStatsPopulated)
-{
-    ExperimentResult result = runOversubExperiment(smallConfig());
-    // Summarize / Search / Chat classes all served.
-    ASSERT_EQ(result.byWorkload.size(), 3u);
-    for (const LatencyStats &stats : result.byWorkload) {
-        EXPECT_GT(stats.count, 0u);
-        EXPECT_GT(stats.p50, 0.0);
-    }
-    // Search generates the most tokens -> slowest class.
-    EXPECT_GT(result.byWorkload[1].p50, result.byWorkload[0].p50);
-}
-
 TEST(OversubExperiment, EnergyAccounted)
 {
     ExperimentResult result = runOversubExperiment(smallConfig());
@@ -274,6 +261,88 @@ TEST(OversubExperiment, PoolsAreBalancedFromTheOverrideSpec)
     ExperimentResult balanced = runOversubExperiment(tweaked);
     EXPECT_TRUE(sameOutcome(balanced, pinned(tweakedShare)));
     EXPECT_FALSE(sameOutcome(balanced, pinned(catalogShare)));
+}
+
+namespace {
+
+/** Twice the servers and no manager, monitored: the flat row runs
+ *  past 1.25x its budget for minutes at a time. */
+ExperimentConfig
+overdrawConfig(double breakerFraction, double tripSeconds)
+{
+    ExperimentConfig config = smallConfig(1.0);
+    config.managed = false;
+    config.duration = secondsToTicks(3600.0);
+    config.safety.monitor = true;
+    config.topology.rowBreakerLimitFraction = breakerFraction;
+    config.topology.breakerTripDuration = secondsToTicks(tripSeconds);
+    return config;
+}
+
+double
+rowBudget(const ExperimentConfig &config)
+{
+    return config.row.baseServers * config.row.provisionedPerServerWatts;
+}
+
+/** The trip envelope limits the row's SafetyMonitor reported. */
+std::vector<double>
+envelopeLimits(const ExperimentResult &result)
+{
+    std::vector<double> limits;
+    for (const SafetyViolation &v : result.violations) {
+        if (v.invariant == SafetyInvariant::BreakerEnvelope)
+            limits.push_back(v.limit);
+    }
+    return limits;
+}
+
+} // namespace
+
+TEST(OversubExperiment, FlatBreakerArmsFromTopologyRowKeys)
+{
+    ExperimentConfig config = overdrawConfig(1.05, 5.0);
+    polca::obs::Observability obs;
+    config.obs = &obs;
+    ExperimentResult result = runOversubExperiment(config);
+    EXPECT_TRUE(obs.metrics.has("breaker.trips"));
+    EXPECT_GT(result.breakerTrips, 0u);
+    EXPECT_GT(result.ticksAboveProvisioned, 0);
+    // The monitor's envelope is the armed breaker's: 1.05x budget.
+    std::vector<double> limits = envelopeLimits(result);
+    ASSERT_FALSE(limits.empty());
+    for (double limit : limits)
+        EXPECT_EQ(limit, rowBudget(config) * 1.05);
+}
+
+TEST(OversubExperiment, FlatBreakerTripDurationFromTopology)
+{
+    // A thermal element slower than the run: the breaker accounts
+    // the overdraw but never trips, and the monitor, whose grace is
+    // the breaker's, reports no excursion.
+    ExperimentResult result =
+        runOversubExperiment(overdrawConfig(1.05, 7200.0));
+    EXPECT_GT(result.ticksAboveProvisioned, 0);
+    EXPECT_GT(result.longestOverLimitStreak, secondsToTicks(5.0));
+    EXPECT_EQ(result.breakerTrips, 0u);
+    EXPECT_TRUE(envelopeLimits(result).empty());
+}
+
+TEST(OversubExperiment, FlatBreakerFractionZeroArmsNone)
+{
+    ExperimentConfig config = overdrawConfig(0.0, 5.0);
+    polca::obs::Observability obs;
+    config.obs = &obs;
+    ExperimentResult result = runOversubExperiment(config);
+    EXPECT_FALSE(obs.metrics.has("breaker.trips"));
+    EXPECT_EQ(result.breakerTrips, 0u);
+    EXPECT_EQ(result.ticksAboveProvisioned, 0);
+    EXPECT_EQ(result.firstBreakerTrip, -1);
+    // No breaker: the monitor checks the NEC-style default envelope.
+    std::vector<double> limits = envelopeLimits(result);
+    ASSERT_FALSE(limits.empty());
+    for (double limit : limits)
+        EXPECT_EQ(limit, rowBudget(config) / 0.8);
 }
 
 TEST(NormalizeLatency, RatiosAndDegenerateCases)

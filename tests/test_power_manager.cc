@@ -76,7 +76,6 @@ TEST(PowerManager, QuietBelowThresholds)
     f.runSeconds(300);
     EXPECT_EQ(f.manager.capCommands(), 0u);
     EXPECT_DOUBLE_EQ(f.low[0]->appliedClockLockMhz(), 0.0);
-    EXPECT_NEAR(f.manager.meanUtilization(), 0.5, 1e-9);
 }
 
 TEST(PowerManager, T1CapsLowPriorityAfterOobLatency)
@@ -229,18 +228,6 @@ TEST(PowerManager, LockedTimeAccounted)
     EXPECT_GT(lp, secondsToTicks(80));
     EXPECT_LT(lp, secondsToTicks(160));
     EXPECT_EQ(f.manager.lockedTicks(Priority::High), 0);
-}
-
-TEST(PowerManager, UtilizationStatsTrackTelemetry)
-{
-    Fixture f;
-    f.watts = 6000.0;
-    f.runSeconds(20);
-    f.watts = 9000.0;
-    f.runSeconds(20);
-    EXPECT_NEAR(f.manager.maxUtilization(), 0.9, 1e-9);
-    EXPECT_GT(f.manager.meanUtilization(), 0.6);
-    EXPECT_LT(f.manager.meanUtilization(), 0.9);
 }
 
 TEST(PowerManager, VerifyToleratesSubMhzApplicationError)

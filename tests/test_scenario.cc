@@ -49,11 +49,13 @@ TEST(Scenario, BindsEverySection)
     ScenarioSet set = load("[experiment]\n"
                            "duration = 1h\n"
                            "seed = 7\n"
-                           "breaker_limit_fraction = 1.05\n"
                            "\n"
                            "[row]\n"
                            "base_servers = 4\n"
                            "added_server_fraction = 25%\n"
+                           "\n"
+                           "[topology]\n"
+                           "row_breaker_limit_fraction = 1.05\n"
                            "\n"
                            "[policy]\n"
                            "preset = \"1tlp\"\n"
@@ -74,7 +76,8 @@ TEST(Scenario, BindsEverySection)
     const core::ExperimentConfig &config = set.points[0].config;
     EXPECT_EQ(config.duration, sim::secondsToTicks(3600));
     EXPECT_EQ(config.seed, 7u);
-    EXPECT_DOUBLE_EQ(config.breakerLimitFraction, 1.05);
+    EXPECT_DOUBLE_EQ(config.topology.rowBreakerLimitFraction, 1.05);
+    EXPECT_FALSE(config.topology.enabled);
     EXPECT_EQ(config.row.baseServers, 4);
     EXPECT_DOUBLE_EQ(config.row.addedServerFraction, 0.25);
     ASSERT_EQ(config.policy.rules.size(), 1u);
@@ -391,10 +394,12 @@ TEST(Scenario, DumpReparsesToIdenticalConfigRich)
         "[experiment]\n"
         "duration = 6h\n"
         "seed = 11\n"
-        "breaker_limit_fraction = 1.05\n"
         "[row]\n"
         "base_servers = 12\n"
         "added_server_fraction = 50%\n"
+        "[topology]\n"
+        "row_breaker_limit_fraction = 1.05\n"
+        "breaker_trip_duration = 10s\n"
         "[row.server]\n"
         "preset = \"DGX-A100-40GB\"\n"
         "[row.server.gpu]\n"
@@ -427,6 +432,97 @@ TEST(Scenario, SweepPointDumpReparses)
     ASSERT_EQ(set.points.size(), 2u);
     for (const ResolvedScenario &point : set.points)
         expectDumpReparses(point);
+}
+
+TEST(Scenario, BreakerFractionBelowOneRejectedAtItsLine)
+{
+    // A breaker must trip at or above its level's budget, which
+    // BreakerModel enforces with a fatal: 0 (no breaker) or at least
+    // 1, reported where the value was written.
+    for (const char *key : {"rack_breaker_limit_fraction",
+                            "row_breaker_limit_fraction",
+                            "site_breaker_limit_fraction"}) {
+        std::string text = "[topology]\nenabled = true\n";
+        text += key;
+        text += " = 0.9\n"
+                "[[topology.rows]]\n"
+                "name = \"row\"\n";
+        std::string expected = "test.toml:3: topology.";
+        expected += key;
+        expected += " = 0.9 is below the level budget";
+        std::string err = loadError(text);
+        EXPECT_NE(err.find(expected), std::string::npos) << err;
+    }
+    // The flat row arms its breaker from the same row key.
+    std::string err = loadError("[row]\n"
+                                "base_servers = 2\n"
+                                "[topology]\n"
+                                "row_breaker_limit_fraction = 0.9\n");
+    EXPECT_NE(err.find("test.toml:4: topology.row_breaker_limit_fraction"
+                       " = 0.9 is below"),
+              std::string::npos) << err;
+    for (const char *fraction : {"0", "1"}) {
+        std::string text = "[topology]\nrow_breaker_limit_fraction = ";
+        text += fraction;
+        text += "\n";
+        ScenarioSet set = load(text);
+        ASSERT_EQ(set.points.size(), 1u) << fraction;
+    }
+}
+
+TEST(Scenario, AwarePolicyWithUnknownModelIsDiagnosedNotFatal)
+{
+    // "aware" solves its locks for the row's model, so an unknown
+    // model must stop binding at the model's own diagnostic, the one
+    // every other preset gets.
+    for (const char *preset : {"polca", "aware"}) {
+        std::string text = "[row]\nmodel = \"GPT-9\"\n"
+                           "[policy]\npreset = \"";
+        text += preset;
+        text += "\"\n";
+        EXPECT_EQ(loadError(text),
+                  "test.toml:1: row.model: unknown model 'GPT-9' (not "
+                  "in the Table 3 catalog; add a [model] section to "
+                  "define it)")
+            << preset;
+    }
+}
+
+TEST(Scenario, FaultEntriesAfterAPresetKeepTheirOwnProvenance)
+{
+    // The preset's crashes come first in the plan; the explicit
+    // crash is appended after them and is labelled with its lines.
+    ScenarioSet set = load("[experiment]\n"
+                           "duration = 6h\n"
+                           "[faults]\n"
+                           "scenario = \"crashes\"\n"
+                           "[[faults.crashes]]\n"
+                           "at = 30min\n"
+                           "downtime = 10min\n"
+                           "server_index = 3\n"
+                           "permanent = false\n");
+    ASSERT_EQ(set.points.size(), 1u);
+    const ResolvedScenario &point = set.points[0];
+    const std::vector<faults::ServerCrash> &crashes =
+        point.config.faultPlan.crashes;
+    ASSERT_GE(crashes.size(), 2u);
+    EXPECT_EQ(crashes.back().at, sim::secondsToTicks(1800));
+
+    std::ostringstream os;
+    dumpResolved(point.config, point.tree, os);
+    const std::string dump = os.str();
+    EXPECT_NE(dump.find("at = 1800  # test.toml:6\n"
+                        "downtime = 600  # test.toml:7\n"
+                        "server_index = 3  # test.toml:8\n"
+                        "permanent = false  # test.toml:9\n"),
+              std::string::npos) << dump;
+    EXPECT_NE(dump.find("at = 2160  # preset:crashes\n"),
+              std::string::npos) << dump;
+    EXPECT_EQ(dump.find("at = 1800  # preset"), std::string::npos)
+        << dump;
+    EXPECT_EQ(dump.find("at = 2160  # test.toml"), std::string::npos)
+        << dump;
+    expectDumpReparses(point);
 }
 
 } // namespace

@@ -171,6 +171,22 @@ TEST(TraceGen, ExpectedServiceSecondsIsBloomScale)
     EXPECT_LT(seconds, 80.0);
 }
 
+TEST(TraceGen, SearchRequestsOutlastSummarizeOnes)
+{
+    // Search generates the most output tokens, so a Search request
+    // takes longer to serve than a Summarize request.
+    polca::llm::ModelCatalog catalog;
+    polca::llm::PhaseModel phases(catalog.byName("BLOOM-176B"));
+    auto serviceSeconds = [&phases](WorkloadSpec only) {
+        only.trafficFraction = 1.0;
+        return TraceGenerator({only}).expectedServiceSeconds(phases);
+    };
+    std::vector<WorkloadSpec> mix = paperWorkloadMix();
+    ASSERT_EQ(mix[0].name, "Summarize");
+    ASSERT_EQ(mix[1].name, "Search");
+    EXPECT_GT(serviceSeconds(mix[1]), serviceSeconds(mix[0]));
+}
+
 TEST(TraceGenDeath, InvalidOptionsFatal)
 {
     TraceGenerator gen;

@@ -710,11 +710,8 @@ cmdRun(const Args &args)
     std::vector<core::SweepPoint> points;
     points.reserve(set.points.size());
     for (config::ResolvedScenario &point : set.points) {
-        points.push_back(
-            {point.label, point.config,
-             point.config.warmup > 0
-                 ? config::warmupDigest(point.config, point.tree)
-                 : std::string()});
+        points.push_back({point.label, point.config,
+                          config::warmupDigest(point.config, point.tree)});
     }
 
     core::SweepOptions options;
