@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared scaffolding for the reproduction bench binaries: flag
- * parsing (--full for paper-scale horizons, --days/--seed overrides)
- * and uniform experiment headers so output is easy to diff against
- * the paper.
+ * parsing (--full for paper-scale horizons, --days/--seed overrides,
+ * --csv where a bench exports its series) and uniform experiment
+ * headers so output is easy to diff against the paper.
  */
 
 #pragma once
@@ -29,7 +29,7 @@ struct BenchOptions
     bool full = false;           ///< paper-scale horizons
     double days = 0.0;           ///< explicit horizon override
     std::uint64_t seed = 42;
-    std::string csvPath;         ///< optional series export target
+    std::string csvPath;         ///< --csv: series export target
 
     /** Evaluation horizon: default short, --full = paper scale. */
     sim::Tick
@@ -40,33 +40,35 @@ struct BenchOptions
     }
 };
 
-/** Print the option summary after @p description to @p out. */
+/** Print the option summary after @p description to @p out; --csv
+ *  only for a bench that takes it (@p csv). */
 inline void
-usage(std::FILE *out, const char *description)
+usage(std::FILE *out, const char *description, bool csv)
 {
     std::fprintf(out,
                  "%s\n\nOptions:\n"
                  "  --full       paper-scale horizons\n"
                  "  --days <n>   explicit horizon in days (> 0)\n"
                  "  --seed <n>   RNG seed, a non-negative integer "
-                 "(default 42)\n"
-                 "  --csv <f>    export plotted series to a CSV file\n",
-                 description);
+                 "(default 42)\n%s",
+                 description,
+                 csv ? "  --csv <f>    export plotted series to a CSV file\n"
+                     : "");
 }
 
 /**
- * Parse --full, --days <n>, --seed <n>, --csv <f>; exits 0 on --help.
- * An unknown flag, a missing value, a malformed or non-positive
- * --days or a malformed --seed prints what is wrong and the usage
- * text to stderr and exits 2, so a typo never runs the default
- * horizon.
+ * Parse --full, --days <n>, --seed <n>, and --csv <f> when @p csv;
+ * exits 0 on --help.  An unknown flag, a missing value, a malformed
+ * or non-positive --days or a malformed --seed prints what is wrong
+ * and the usage text to stderr and exits 2, so a typo never runs the
+ * default horizon.
  */
 inline BenchOptions
-parseArgs(int argc, char **argv, const char *description)
+parseOptions(int argc, char **argv, const char *description, bool csv)
 {
     auto reject = [&](const std::string &problem) {
         std::fprintf(stderr, "%s: %s\n\n", argv[0], problem.c_str());
-        usage(stderr, description);
+        usage(stderr, description, csv);
         std::exit(2);
     };
     // All of @p text as a number.
@@ -83,10 +85,11 @@ parseArgs(int argc, char **argv, const char *description)
             continue;
         }
         if (flag == "--help") {
-            usage(stdout, description);
+            usage(stdout, description, csv);
             std::exit(0);
         }
-        if (flag != "--days" && flag != "--seed" && flag != "--csv")
+        if (flag != "--days" && flag != "--seed" &&
+            !(csv && flag == "--csv"))
             reject("unknown flag '" + flag + "'");
         if (i + 1 == argc)
             reject(flag + ": missing value");
@@ -105,6 +108,21 @@ parseArgs(int argc, char **argv, const char *description)
     }
     sim::setQuiet(true);
     return options;
+}
+
+/** A bench's flags: parseOptions() without --csv. */
+inline BenchOptions
+parseArgs(int argc, char **argv, const char *description)
+{
+    return parseOptions(argc, argv, description, false);
+}
+
+/** The flags of a bench that exports its plotted series (Figs 6 and
+ *  16): parseOptions() with --csv, exportSeriesCsv()'s file. */
+inline BenchOptions
+parseSeriesArgs(int argc, char **argv, const char *description)
+{
+    return parseOptions(argc, argv, description, true);
 }
 
 /** Print a banner naming the experiment and the paper artifact. */
@@ -130,8 +148,8 @@ compare(const char *metric, const char *paperValue, double measured,
 
 /**
  * Export labelled time series as CSV (time_s, <label>...) when the
- * user passed --csv.  Series are step-sampled onto a common grid so
- * the file plots directly in any tool.
+ * user passed --csv (parseSeriesArgs()).  Series are step-sampled
+ * onto a common grid so the file plots directly in any tool.
  */
 void exportSeriesCsv(const BenchOptions &options,
                      const std::vector<std::string> &labels,

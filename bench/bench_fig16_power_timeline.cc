@@ -17,7 +17,7 @@ using namespace polca::core;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions options = bench::parseArgs(
+    bench::BenchOptions options = bench::parseSeriesArgs(
         argc, argv,
         "Reproduces Fig 16: row power utilization timeline");
     bench::banner(

@@ -21,7 +21,7 @@ using namespace polca;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions options = bench::parseArgs(
+    bench::BenchOptions options = bench::parseSeriesArgs(
         argc, argv,
         "Reproduces Fig 6: inference power time-series");
     bench::banner(

@@ -64,7 +64,8 @@ struct RowConfig
      *  0.30 = the paper's headline +30 %). */
     double addedServerFraction = 0.0;
 
-    /** Fraction of servers placed in the low-priority pool. */
+    /** Fraction of servers placed in the low-priority pool; the
+     *  harness sets the flat row's from the workload mix. */
     double lpServerFraction = 0.5;
 
     /**
@@ -76,7 +77,8 @@ struct RowConfig
      */
     double provisionedPerServerWatts = 4950.0;
 
-    /** Row telemetry cadence (Table 1: 2 s). */
+    /** Row telemetry cadence (Table 1: 2 s); the harness copies the
+     *  flat row's from TopologyConfig. */
     sim::Tick telemetryInterval = sim::secondsToTicks(2);
 
     /** Per-server request buffer (Section 6.6: one). */
@@ -137,16 +139,17 @@ struct TopologyRowGroup
 
 /**
  * The `[topology]` section: per-level counts, budgets, breakers.  The
- * row breaker keys (rowBreakerLimitFraction, breakerTripDuration)
- * also arm the flat row's breaker, enabled or not: the flat row is
- * the one-row tree.
+ * telemetry cadence and the row breaker keys (rowBreakerLimitFraction,
+ * breakerTripDuration) also drive the flat row, enabled or not: the
+ * flat row is the one-row tree.
  */
 struct TopologyConfig
 {
     /** Build the site tree instead of the single flat row. */
     bool enabled = false;
 
-    /** Telemetry cadence of every non-leaf domain manager. */
+    /** Telemetry cadence of every non-leaf domain manager, the flat
+     *  row's included. */
     sim::Tick telemetryInterval = sim::secondsToTicks(2);
 
     /** Row budget as a fraction of the row's nameplate sum;

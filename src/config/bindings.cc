@@ -221,15 +221,9 @@ rowConfigSchema()
             .field("added_server_fraction",
                    &cluster::RowConfig::addedServerFraction,
                    Unit::Fraction, 0.0, 5.0)
-            .field("lp_server_fraction",
-                   &cluster::RowConfig::lpServerFraction,
-                   Unit::Fraction, 0.0, 1.0)
             .field("provisioned_per_server_watts",
                    &cluster::RowConfig::provisionedPerServerWatts,
                    Unit::Watts, 100.0, 100000.0)
-            .tickField("telemetry_interval",
-                       &cluster::RowConfig::telemetryInterval, 0.01,
-                       3600.0)
             .intField("buffer_size", &cluster::RowConfig::bufferSize,
                       0, 100000)
             .intField("max_batch_size",
@@ -252,6 +246,7 @@ topologyConfigSchema()
         StructSchema<cluster::TopologyConfig> s("topology");
         using T = cluster::TopologyConfig;
         s.boolField("enabled", &T::enabled)
+            // Every domain manager's cadence, the flat row's too.
             .tickField("telemetry_interval", &T::telemetryInterval,
                        0.01, 3600.0)
             .field("row_budget_fraction", &T::rowBudgetFraction,
@@ -384,8 +379,7 @@ experimentSchema()
                       std::numeric_limits<long long>::max())
             .field("power_scale_factor", &E::powerScaleFactor,
                    Unit::Fraction, 0.1, 10.0)
-            .boolField("record_row_series", &E::recordRowSeries)
-            .boolField("auto_balance_pools", &E::autoBalancePools);
+            .boolField("record_row_series", &E::recordRowSeries);
         return s;
     }();
     return schema;

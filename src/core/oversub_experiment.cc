@@ -58,18 +58,17 @@ mergeFaultPlans(faults::FaultPlan &into, faults::FaultPlan add)
         into.burstyLoss = add.burstyLoss;
 }
 
-/** The flat row's knobs resolved from the experiment config
- *  (work-share pool balancing). */
+/** The flat row's knobs resolved from the experiment config: the
+ *  `[topology]` telemetry cadence, and an LP pool sized to the mix's
+ *  low-priority work share. */
 cluster::RowConfig
 resolvedRowConfig(const ExperimentConfig &config)
 {
     cluster::RowConfig rowConfig = config.row;
-    if (config.autoBalancePools) {
-        llm::PhaseModel phases(cluster::effectiveModelSpec(rowConfig));
-        rowConfig.lpServerFraction =
-            workload::TraceGenerator(config.mix)
-                .lowPriorityWorkShare(phases);
-    }
+    rowConfig.telemetryInterval = config.topology.telemetryInterval;
+    llm::PhaseModel phases(cluster::effectiveModelSpec(rowConfig));
+    rowConfig.lpServerFraction =
+        workload::TraceGenerator(config.mix).lowPriorityWorkShare(phases);
     return rowConfig;
 }
 
@@ -77,8 +76,8 @@ resolvedRowConfig(const ExperimentConfig &config)
  * The deployment @p config describes, on the physical stream
  * sim.rng().fork(0xA110): the `[topology]` tree, or the flat `[row]`
  * as the one-row tree rooted at its row.  Flat row: the physical
- * stream is the row's own stream, and its pools are auto-balanced
- * (site groups declare their split).
+ * stream is the row's own stream, and resolvedRowConfig() sets its
+ * cadence and pool split (site groups declare their split).
  */
 cluster::Site
 buildSite(sim::Simulation &sim, const ExperimentConfig &config)

@@ -7,8 +7,9 @@
  * every row, run, and report the paper's metrics — per-priority
  * p50/p99/max latency, throughput, and power-brake counts.  Every
  * row, the flat one included, is armed with the breaker the
- * `[topology]` row keys describe; each latency is stored once, in
- * its row dispatcher's per-priority sampler.
+ * `[topology]` row keys describe and read at the `[topology]`
+ * telemetry cadence; each latency is stored once, in its row
+ * dispatcher's per-priority sampler.
  */
 
 #pragma once
@@ -61,9 +62,12 @@ struct ExperimentConfig
      * builds the heterogeneous servers → racks → rows → site tree
      * described by the groups (with `row` supplying the shared
      * per-server knobs).  Either way one harness runs every row's
-     * serving cell under the tree's breakers and budgets, and the
-     * row breaker keys (rowBreakerLimitFraction, 0 = none, and
-     * breakerTripDuration) also arm the flat row's breaker.
+     * serving cell under the tree's breakers and budgets.  The flat
+     * row also reads its cadence (telemetryInterval) and its
+     * breaker (rowBreakerLimitFraction, 0 = none, and
+     * breakerTripDuration) from here; the harness fills the flat
+     * row's RowConfig::telemetryInterval and lpServerFraction, so
+     * `row`'s own values of both are never read.
      */
     cluster::TopologyConfig topology;
 
@@ -130,16 +134,10 @@ struct ExperimentConfig
      *  compositional site_power.csv). */
     bool recordRowSeries = false;
 
-    /**
-     * Size the LP/HP server pools by the workload mix's *work*
-     * share (service-time weighted), overriding
-     * row.lpServerFraction.  Disable to sweep the pool split
-     * explicitly.
-     */
-    bool autoBalancePools = true;
-
     /** Workload mix (defaults to Table 6); Fig 15b sweeps the
-     *  low- to high-priority ratio by overriding this. */
+     *  low- to high-priority ratio by overriding this.  The flat
+     *  row's LP pool is sized to its low-priority *work* share
+     *  (service-time weighted); site groups declare their split. */
     std::vector<workload::WorkloadSpec> mix =
         workload::paperWorkloadMix();
 

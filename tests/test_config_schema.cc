@@ -192,8 +192,10 @@ TEST(SchemaRoundTrip, NonTrivialValuesSurvive)
     // durations, thirds, and large seeds.
     cluster::RowConfig row;
     row.addedServerFraction = 1.0 / 3.0;
-    row.telemetryInterval = sim::secondsToTicks(0.25);
     expectRoundTrip(rowConfigSchema(), row);
+    cluster::TopologyConfig topology;
+    topology.telemetryInterval = sim::secondsToTicks(0.25);
+    expectRoundTrip(topologyConfigSchema(), topology);
 
     core::ExperimentConfig config;
     config.seed = 123456789012345ull;
@@ -273,6 +275,21 @@ TEST(SchemaHostile, UnknownKeySuggestion)
         EXPECT_NE(err.find("unknown key '" + std::string(key) + "'"),
                   std::string::npos) << err;
     }
+
+    // The flat row reads the [topology] cadence and balances its
+    // pools on the workload mix: no [row] or [experiment] spelling.
+    for (const char *key : {"telemetry_interval", "lp_server_fraction"}) {
+        err = applyError(rowConfigSchema(), std::string(key) + " = 1\n",
+                         row);
+        EXPECT_NE(err.find("hostile.toml:1"), std::string::npos) << err;
+        EXPECT_NE(err.find("unknown key '" + std::string(key) + "'"),
+                  std::string::npos) << err;
+    }
+    err = applyError(experimentSchema(), "auto_balance_pools = false\n",
+                     experiment);
+    EXPECT_NE(err.find("hostile.toml:1"), std::string::npos) << err;
+    EXPECT_NE(err.find("unknown key 'auto_balance_pools'"),
+              std::string::npos) << err;
 }
 
 TEST(SchemaHostile, ScalarExpected)

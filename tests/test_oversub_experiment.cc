@@ -252,15 +252,25 @@ TEST(OversubExperiment, PoolsAreBalancedFromTheOverrideSpec)
               polca::cluster::allocatePriorities(servers, catalogShare))
         << "the tweak must move the pool split to tell them apart";
 
-    auto pinned = [&](double share) {
-        ExperimentConfig config = tweaked;
-        config.autoBalancePools = false;
-        config.row.lpServerFraction = share;
-        return runOversubExperiment(config);
-    };
-    ExperimentResult balanced = runOversubExperiment(tweaked);
-    EXPECT_TRUE(sameOutcome(balanced, pinned(tweakedShare)));
-    EXPECT_FALSE(sameOutcome(balanced, pinned(catalogShare)));
+    // Under a name the catalog lacks, the same tweak can only be
+    // balanced on its override; both must run the same row.
+    ExperimentResult renamed =
+        runOversubExperiment(tweakedModelConfig("BLOOM-tuned"));
+    EXPECT_TRUE(sameOutcome(runOversubExperiment(tweaked), renamed));
+}
+
+TEST(OversubExperiment, FlatRowReadsAtTheTopologyCadence)
+{
+    // [topology] telemetry_interval paces every manager, the flat
+    // row's included: 600 s at 5 s is 120 readings, not 2 s's 300.
+    ExperimentConfig config = smallConfig();
+    config.duration = secondsToTicks(600.0);
+    config.topology.telemetryInterval = secondsToTicks(5.0);
+    polca::obs::Observability obs;
+    config.obs = &obs;
+    (void)runOversubExperiment(config);
+    EXPECT_EQ(obs.metrics.counter("telemetry.readings_delivered").value(),
+              120u);
 }
 
 namespace {

@@ -11,28 +11,30 @@
  *                             [--out FILE]
  *   polcactl run [--scenario-file FILE] [--set path=value]... \
  *                [--out-dir DIR] [--jobs N] [--branch 0|1] \
- *                [legacy flags]
+ *                [--workload FILE] [--trace FILE] [--metrics FILE] \
+ *                [--trace-categories LIST]
+ *   polcactl chaos [--runs N] [--seed S] [--scenario-file FILE] \
+ *                  [--set path=value]... [--out-dir DIR]
  *   polcactl report <run-dir>...
  *   polcactl config check FILE...
  *   polcactl config dump [--scenario-file FILE] [--set path=value]... \
  *                        [--point N]
  *   polcactl scenarios
  *
- * `run` resolves its configuration through the scenario layer
- * (config/scenario.hh): struct defaults < scenario file < `--set`
- * dotted-path overrides < sweep axis values.  The legacy flags
- * (--days, --seed, --policy, --servers, --added, --power-scale,
- * --failures, --dropout, --scenario, --watchdog) are sugar for the
- * equivalent --set paths.  A scenario file with a [sweep] section
- * expands into one run per point, executed with one metrics CSV
- * artifact per point plus a summary table; --jobs N (or the file's
- * [sweep] jobs key) runs the points on N worker threads with
- * byte-identical artifacts.  When the points share a warmup prefix
- * ([sweep] warmup, sugar for experiment.warmup), the runner
- * simulates the prefix once per distinct prefix and branches every
- * point — and every baseline — from the in-memory snapshot
- * (checkpoint/branch execution; --branch 0 or [sweep] branch =
- * false disables it), with artifacts byte-identical either way.
+ * `run`, `chaos` and `config dump` resolve their configuration
+ * through the scenario layer (config/scenario.hh): struct defaults <
+ * scenario file < `--set` dotted-path overrides < sweep axis values;
+ * `--set` is the only command-line spelling of a scenario key.  A
+ * scenario file with a [sweep] section expands into one run per
+ * point, executed with one metrics CSV artifact per point plus a
+ * summary table; --jobs N (or the file's [sweep] jobs key) runs
+ * the points on N worker threads with byte-identical artifacts.
+ * When the points share a warmup prefix ([sweep] warmup, sugar for
+ * experiment.warmup), the runner simulates the prefix once per
+ * distinct prefix and branches every point — and every baseline —
+ * from the in-memory snapshot (checkpoint/branch execution;
+ * --branch 0 or [sweep] branch = false disables it), with artifacts
+ * byte-identical either way.
  *
  * `config dump` prints the fully-resolved effective configuration
  * with per-value provenance comments; the output reparses to the
@@ -208,15 +210,9 @@ usage()
         "[--out FILE]\n"
         "  polcactl run [--scenario-file FILE] [--set path=value]... "
         "[--out-dir DIR]\n"
-        "               [--jobs N] [--branch 0|1] [--added F] "
-        "[--days N] [--seed S] [--policy NAME]\n"
-        "               [--power-scale F] [--servers N] "
-        "[--failures P] [--workload FILE]\n"
-        "               [--dropout P] [--scenario NAME] "
-        "[--watchdog 0|1]\n"
+        "               [--jobs N] [--branch 0|1] [--workload FILE]\n"
         "               [--trace FILE] [--metrics FILE] "
-        "[--metrics-interval SECS]\n"
-        "               [--trace-categories LIST]\n"
+        "[--trace-categories LIST]\n"
         "  polcactl chaos [--runs N] [--seed S] "
         "[--scenario-file FILE]\n"
         "                 [--set path=value]... [--out-dir DIR]\n"
@@ -233,9 +229,11 @@ usage()
         "  writes a per-run CSV and, for violating seeds, a "
         "reproduction trace.\n"
         "  run resolves defaults < scenario file < --set overrides "
-        "< sweep values;\n"
-        "  legacy flags are sugar for --set paths "
-        "(--days 2 == --set experiment.duration=2d).\n"
+        "< sweep values\n"
+        "  (--set experiment.duration=2d --set "
+        "row.added_server_fraction=0.3);\n"
+        "  config dump prints what a run resolves to, the struct "
+        "defaults with no file.\n"
         "  A [sweep] section runs every point and writes one metrics "
         "CSV per point\n"
         "  into --out-dir plus a summary table.  --jobs N runs points "
@@ -255,16 +253,15 @@ usage()
         "  --metrics dumps the metrics registry (.csv for CSV);\n"
         "  --trace-categories filters: "
         "sim,telemetry,control,power,cluster,fault,all\n"
-        "  run --metrics-interval S snapshots the registry every S "
-        "simulated seconds\n"
-        "  (sugar for --set obs.interval=S); single-point run "
-        "--out-dir writes the\n"
-        "  full artifact set (manifest.json, resolved.toml, "
-        "result.csv, metrics.csv,\n"
-        "  stats_interval.csv, violations.csv) that `polcactl "
-        "report` turns into\n"
-        "  report.md + report.html (self-contained, inline-SVG "
-        "timeline).\n",
+        "  --set obs.interval=S snapshots the registry every S "
+        "simulated seconds.\n"
+        "  A single-point run --out-dir writes the full artifact set "
+        "(manifest.json,\n"
+        "  resolved.toml, result.csv, metrics.csv, stats_interval.csv, "
+        "violations.csv)\n"
+        "  that `polcactl report` turns into report.md + report.html "
+        "(self-contained,\n"
+        "  inline-SVG timeline).\n",
         core::policyPresetNames().c_str());
     return 2;
 }
@@ -429,69 +426,31 @@ cmdScenarios()
     return 0;
 }
 
-/** Known flags of `run` (and the subset `config dump` reuses). */
-std::vector<std::string>
-runFlags()
-{
-    return {"scenario-file", "set", "out-dir", "jobs", "branch",
-            "added", "days", "seed", "policy", "power-scale",
-            "servers", "failures", "workload", "dropout", "scenario",
-            "watchdog", "trace", "metrics", "metrics-interval",
-            "trace-categories", "point"};
-}
-
 /**
- * Resolve the run/dump configuration set: scenario file (or empty
- * text), legacy-flag sugar, then explicit --set overrides, expanded
- * over sweep axes.  Legacy flags become --set values *before* the
- * explicit ones so `--set` always wins.
+ * The scenario set of `run`, `chaos` and `config dump`: the
+ * --scenario-file (or no file), then @p overrides, then the --set
+ * overrides, expanded over sweep axes.  Prints what is wrong and
+ * returns nothing unless it resolves to at least one point.
  */
-config::ScenarioSet
-resolveScenario(const Args &args, config::Diagnostics &diag)
+std::optional<config::ScenarioSet>
+loadScenario(const Args &args, std::vector<std::string> overrides)
 {
-    std::vector<std::string> overrides;
-    bool haveFile = args.has("scenario-file");
-
-    auto legacy = [&](const char *flag, const char *path) {
-        if (args.has(flag))
-            overrides.push_back(std::string(path) + "=" +
-                                args.text(flag, ""));
-    };
-    // Pure-CLI runs keep the historical quickstart defaults (+30 %
-    // servers, 1 day); a scenario file states its own.
-    if (!haveFile) {
-        if (!args.has("added"))
-            overrides.push_back("row.added_server_fraction=0.30");
-        if (!args.has("days"))
-            overrides.push_back("experiment.duration=1d");
+    for (const std::string &value : args.list("set"))
+        overrides.push_back(value);
+    config::Diagnostics diag;
+    config::ScenarioSet set = args.has("scenario-file")
+        ? config::loadScenarioFile(args.text("scenario-file", ""),
+                                   overrides, diag)
+        : config::loadScenarioString("", "cli", overrides, diag);
+    if (!diag.ok()) {
+        std::fprintf(stderr, "%s\n", diag.str().c_str());
+        return std::nullopt;
     }
-    legacy("servers", "row.base_servers");
-    legacy("added", "row.added_server_fraction");
-    if (args.has("days")) {
-        overrides.push_back(
-            "experiment.duration=" +
-            config::formatDouble(args.number("days", 1.0) * 86400.0));
+    if (set.points.empty()) {
+        std::fprintf(stderr, "scenario resolved to no points\n");
+        return std::nullopt;
     }
-    legacy("seed", "experiment.seed");
-    legacy("policy", "policy.preset");
-    legacy("power-scale", "experiment.power_scale_factor");
-    legacy("failures", "manager.smbpbi_failure_probability");
-    legacy("dropout", "row.telemetry_dropout_probability");
-    legacy("scenario", "faults.scenario");
-    legacy("metrics-interval", "obs.interval");
-    if (args.has("watchdog")) {
-        overrides.push_back(
-            std::string("manager.watchdog_enabled=") +
-            (args.number("watchdog", 1) != 0 ? "true" : "false"));
-    }
-    for (const std::string &set : args.list("set"))
-        overrides.push_back(set);
-
-    if (haveFile) {
-        return config::loadScenarioFile(
-            args.text("scenario-file", ""), overrides, diag);
-    }
-    return config::loadScenarioString("", "cli", overrides, diag);
+    return set;
 }
 
 /** Detailed single-run report (the classic `polcactl run` output). */
@@ -686,16 +645,10 @@ runSinglePoint(const Args &args, config::ResolvedScenario &point)
 int
 cmdRun(const Args &args)
 {
-    config::Diagnostics diag;
-    config::ScenarioSet set = resolveScenario(args, diag);
-    if (!diag.ok()) {
-        std::fprintf(stderr, "%s\n", diag.str().c_str());
+    std::optional<config::ScenarioSet> loaded = loadScenario(args, {});
+    if (!loaded)
         return 2;
-    }
-    if (set.points.empty()) {
-        std::fprintf(stderr, "scenario resolved to no points\n");
-        return 2;
-    }
+    config::ScenarioSet &set = *loaded;
 
     if (!set.isSweep())
         return runSinglePoint(args, set.points.front());
@@ -782,8 +735,7 @@ cmdChaos(const Args &args)
         static_cast<std::uint64_t>(args.number("seed", 42));
 
     std::vector<std::string> overrides;
-    bool haveFile = args.has("scenario-file");
-    if (!haveFile) {
+    if (!args.has("scenario-file")) {
         // Campaign defaults: a small row and a 2 h run keep 100
         // seeded scenarios CI-sized; a scenario file states its own.
         overrides.push_back("row.base_servers=8");
@@ -794,22 +746,11 @@ cmdChaos(const Args &args)
     // monitor, so they are forced on ahead of user --set overrides.
     overrides.push_back("chaos.enabled=true");
     overrides.push_back("safety.monitor=true");
-    for (const std::string &set : args.list("set"))
-        overrides.push_back(set);
-
-    config::Diagnostics diag;
-    config::ScenarioSet set = haveFile
-        ? config::loadScenarioFile(args.text("scenario-file", ""),
-                                   overrides, diag)
-        : config::loadScenarioString("", "cli", overrides, diag);
-    if (!diag.ok()) {
-        std::fprintf(stderr, "%s\n", diag.str().c_str());
+    std::optional<config::ScenarioSet> loaded =
+        loadScenario(args, std::move(overrides));
+    if (!loaded)
         return 2;
-    }
-    if (set.points.empty()) {
-        std::fprintf(stderr, "scenario resolved to no points\n");
-        return 2;
-    }
+    const config::ScenarioSet &set = *loaded;
     if (set.isSweep()) {
         sim::fatal("chaos: the scenario expands to a sweep; chaos "
                    "varies the seed instead — drop the [sweep] "
@@ -985,16 +926,10 @@ cmdConfigCheck(const Args &args)
 int
 cmdConfigDump(const Args &args)
 {
-    config::Diagnostics diag;
-    config::ScenarioSet set = resolveScenario(args, diag);
-    if (!diag.ok()) {
-        std::fprintf(stderr, "%s\n", diag.str().c_str());
+    std::optional<config::ScenarioSet> loaded = loadScenario(args, {});
+    if (!loaded)
         return 2;
-    }
-    if (set.points.empty()) {
-        std::fprintf(stderr, "scenario resolved to no points\n");
-        return 2;
-    }
+    const config::ScenarioSet &set = *loaded;
     std::size_t index =
         static_cast<std::size_t>(args.number("point", 0));
     if (index >= set.points.size()) {
@@ -1024,8 +959,12 @@ main(int argc, char **argv)
         return cmdModels();
     if (command == "policy")
         return cmdPolicy(Args(argc, argv, 2, {}));
-    if (command == "run")
-        return cmdRun(Args(argc, argv, 2, runFlags()));
+    if (command == "run") {
+        return cmdRun(Args(argc, argv, 2,
+                           {"scenario-file", "set", "out-dir", "jobs",
+                            "branch", "workload", "trace", "metrics",
+                            "trace-categories"}));
+    }
     if (command == "chaos") {
         return cmdChaos(Args(argc, argv, 2,
                              {"runs", "seed", "scenario-file", "set",
@@ -1041,8 +980,10 @@ main(int argc, char **argv)
         std::string sub = argv[2];
         if (sub == "check")
             return cmdConfigCheck(Args(argc, argv, 3, {}));
-        if (sub == "dump")
-            return cmdConfigDump(Args(argc, argv, 3, runFlags()));
+        if (sub == "dump") {
+            return cmdConfigDump(
+                Args(argc, argv, 3, {"scenario-file", "set", "point"}));
+        }
         return usage();
     }
     if (command == "trace") {

@@ -5,8 +5,9 @@
 # scale, so the run's exit code may be 0 (SLOs met) or 1 (violated);
 # anything else is a crash.
 execute_process(
-    COMMAND ${POLCACTL} run --added 0.2 --days 0.02 --servers 10
-            --scenario blackout
+    COMMAND ${POLCACTL} run --set row.added_server_fraction=0.2
+            --set experiment.duration=0.02d --set row.base_servers=10
+            --set faults.scenario=blackout
             --trace ${WORK_DIR}/run_trace.json
             --metrics ${WORK_DIR}/run_metrics.txt
     RESULT_VARIABLE rc)
