@@ -16,7 +16,8 @@
  * resolved ExperimentConfig per point, which core::SweepRunner
  * executes.  The reserved key `jobs` is not an axis: it sets how many
  * worker threads execute the points (`jobs = 4`; 0 = one per
- * hardware thread), overridable by the CLI's --jobs.
+ * hardware thread), also for a single point or a chaos campaign;
+ * `--set sweep.jobs=N` overrides it from the command line.
  *
  * dumpResolved() writes the fully-resolved effective configuration —
  * every bound field of every struct, with per-value provenance
@@ -57,11 +58,11 @@ struct ScenarioSet
     std::vector<ResolvedScenario> points;
 
     /**
-     * Requested sweep parallelism (the reserved `jobs` key of the
-     * [sweep] section, which is not an axis): worker threads for
-     * core::SweepRunner.  1 = sequential; `jobs = 0` in the file
-     * means "one per hardware thread" and is resolved at load time.
-     * The CLI's --jobs flag overrides this.
+     * Requested parallelism (the reserved `jobs` key of the [sweep]
+     * section, which is not an axis): worker threads for
+     * core::SweepRunner, which runs every point with its baseline
+     * (or every seed of a chaos campaign).  `jobs = 0` means "one per
+     * hardware thread" and is resolved at load time.
      */
     int jobs = 1;
 
@@ -72,7 +73,7 @@ struct ScenarioSet
      * file), the runner simulates the prefix once per distinct
      * prefix and forks every point — and every baseline — from the
      * in-memory snapshot.  `branch = false` forces every point to
-     * simulate from t = 0.  The CLI's --branch flag overrides this.
+     * simulate from t = 0.
      */
     bool branch = true;
 

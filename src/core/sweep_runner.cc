@@ -80,15 +80,17 @@ SweepRunner::plan()
 
 obs::Observability *
 SweepRunner::runManaged(std::size_t index,
-                        obs::Observability *fallbackObs)
+                        std::unique_ptr<obs::Observability> &fallback)
 {
     const SweepPoint &point = points_[index];
     SweepPointResult &out = results_[index];
     out.label = point.label;
 
     ExperimentConfig config = point.config;
-    if (!options_.artifactDir.empty() && !config.obs)
-        config.obs = fallbackObs;
+    if (!options_.artifactDir.empty() && !config.obs) {
+        fallback = std::make_unique<obs::Observability>();
+        config.obs = fallback.get();
+    }
 
     int g = group_[index];
     if (g >= 0) {
@@ -180,40 +182,20 @@ SweepRunner::finishPoint(std::size_t index, obs::Observability *sink)
 }
 
 void
-SweepRunner::runSequential()
-{
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-        if (options_.echoProgress) {
-            std::printf("[sweep %zu/%zu] %s\n", i + 1,
-                        points_.size(),
-                        points_[i].label.empty()
-                            ? "(single point)"
-                            : points_[i].label.c_str());
-            std::fflush(stdout);
-        }
-        obs::Observability obs;
-        obs::Observability *sink = runManaged(i, &obs);
-        if (options_.runBaseline && baselineOwner_[i] == i)
-            runBaseline(i);
-        finishPoint(i, sink);
-    }
-}
-
-void
-SweepRunner::runParallel(int jobs)
+SweepRunner::execute()
 {
     std::size_t n = points_.size();
+    int jobs = options_.jobs;
     if (options_.echoProgress) {
-        std::printf("[sweep] running %zu point%s on %d workers\n", n,
-                    n == 1 ? "" : "s", jobs);
+        std::printf("[sweep] running %zu point%s on %d worker%s\n", n,
+                    n == 1 ? "" : "s", jobs, jobs == 1 ? "" : "s");
         std::fflush(stdout);
     }
 
-    // One sink per point: tasks must not share a metrics registry.
+    // Runner-owned sinks for points that write artifacts but bring
+    // none of their own: tasks must not share a metrics registry.
+    // Each is released once its point's artifacts are written.
     std::vector<std::unique_ptr<obs::Observability>> sinks(n);
-    for (std::size_t i = 0; i < n; ++i)
-        sinks[i] = std::make_unique<obs::Observability>();
-
     std::vector<std::future<obs::Observability *>> managed(n);
     std::vector<std::future<void>> baselines(n);
     {
@@ -224,7 +206,7 @@ SweepRunner::runParallel(int jobs)
         // run (which blocks on its group's snapshot future), the
         // leader that fulfills it has already been picked up by some
         // worker and is making progress — no worker can starve the
-        // leader it is waiting for.
+        // leader it is waiting for, even with one worker.
         std::vector<char> isLeader(n, 0);
         for (std::size_t leader : groupLeader_)
             isLeader[leader] = 1;
@@ -232,13 +214,13 @@ SweepRunner::runParallel(int jobs)
             if (!isLeader[i])
                 continue;
             managed[i] = pool.submit([this, i, &sinks] {
-                return runManaged(i, sinks[i].get());
+                return runManaged(i, sinks[i]);
             });
         }
         for (std::size_t i = 0; i < n; ++i) {
             if (!isLeader[i]) {
                 managed[i] = pool.submit([this, i, &sinks] {
-                    return runManaged(i, sinks[i].get());
+                    return runManaged(i, sinks[i]);
                 });
             }
             if (options_.runBaseline && baselineOwner_[i] == i) {
@@ -249,12 +231,13 @@ SweepRunner::runParallel(int jobs)
         }
 
         // Stitch in point order on this thread: artifacts and
-        // progress come out in the same order as a jobs=1 run.
+        // progress come out in point order at any worker count.
         for (std::size_t i = 0; i < n; ++i) {
             obs::Observability *sink = managed[i].get();
             if (options_.runBaseline && baselineOwner_[i] == i)
                 baselines[i].get();
             finishPoint(i, sink);
+            sinks[i].reset();
             if (options_.echoProgress) {
                 std::printf("[sweep %zu/%zu] %s: done\n", i + 1, n,
                             points_[i].label.empty()
@@ -348,15 +331,11 @@ SweepRunner::run()
     if (!options_.artifactDir.empty())
         std::filesystem::create_directories(options_.artifactDir);
 
-    int jobs = options_.jobs;
-    if (jobs < 1) {
-        sim::fatal("SweepRunner: jobs must be >= 1 (got ", jobs,
-                   ")");
+    if (options_.jobs < 1) {
+        sim::fatal("SweepRunner: jobs must be >= 1 (got ",
+                   options_.jobs, ")");
     }
-    if (jobs == 1)
-        runSequential();
-    else
-        runParallel(jobs);
+    execute();
 
     writeSummary();
     return results_;

@@ -10,14 +10,15 @@
  * combined summary CSV.  summaryTable() renders the cross-point
  * comparison the CLI prints after a sweep.
  *
- * With SweepOptions::jobs > 1 the points — and each point's
- * managed/baseline pair — execute concurrently on a core::ThreadPool.
- * Results are stitched back in point order on the calling thread, so
- * every artifact (per-point metrics CSVs, summary.csv) and the
- * results() vector are byte-identical to a jobs = 1 run; only
- * wall-clock time and the interleaving of log lines differ.  Each
- * point simulates in its own Simulation/EventQueue with its own
- * observability sink, so tasks share no mutable state.
+ * Every run — each point's managed experiment and its baseline —
+ * is a task on a core::ThreadPool of SweepOptions::jobs workers
+ * (one worker runs them in turn).  Results are stitched back in
+ * point order on the calling thread, so every artifact (per-point
+ * metrics CSVs, summary.csv) and the results() vector are
+ * byte-identical at any worker count; only wall-clock time and the
+ * interleaving of log lines differ.  Each point simulates in its own
+ * Simulation/EventQueue with its own observability sink, so tasks
+ * share no mutable state.
  *
  * Points with the same SweepPoint::warmupKey share one physical
  * configuration, so they share one unthrottled baseline, at any
@@ -93,9 +94,9 @@ struct SweepOptions
     /** Print a one-line progress note per point. */
     bool echoProgress = true;
 
-    /** Worker threads for point execution; 1 = run in order on the
-     *  calling thread, N > 1 = run points (and managed/baseline
-     *  pairs) concurrently with deterministic stitching. */
+    /** Worker threads that run the points and their baselines
+     *  (>= 1); artifacts are stitched in point order, so they do not
+     *  depend on it. */
     int jobs = 1;
 
     /**
@@ -157,12 +158,13 @@ class SweepRunner
                                     std::size_t index);
 
   private:
-    /** Run point @p index's managed experiment into results_[index],
-     *  attaching @p fallbackObs when the point has no sink of its
-     *  own and artifacts are wanted.  @return the effective sink (for
-     *  the artifact dump), or null. */
-    obs::Observability *runManaged(std::size_t index,
-                                   obs::Observability *fallbackObs);
+    /** Run point @p index's managed experiment into results_[index].
+     *  A point that writes artifacts and has no sink of its own gets
+     *  one allocated into @p fallback.  @return the effective sink
+     *  (for the artifact dump), or null. */
+    obs::Observability *
+    runManaged(std::size_t index,
+               std::unique_ptr<obs::Observability> &fallback);
 
     /** Run point @p index's unthrottled baseline into
      *  results_[index].baseline. */
@@ -172,8 +174,9 @@ class SweepRunner
      *  per-point artifact CSV. */
     void finishPoint(std::size_t index, obs::Observability *sink);
 
-    void runSequential();
-    void runParallel(int jobs);
+    /** Run every point on a pool of SweepOptions::jobs workers and
+     *  finish them in point order. */
+    void execute();
     void writeSummary();
 
     /**

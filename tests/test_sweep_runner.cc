@@ -1,7 +1,8 @@
 /**
  * @file
  * SweepRunner tests: artifact-stem sanitization, per-point metrics
- * CSVs plus the summary CSV, baseline normalization, and the
+ * CSVs plus the summary CSV, baseline normalization (a one-point
+ * sweep against a hand-paired managed and baseline run), and the
  * cross-point summary table.
  */
 
@@ -107,21 +108,45 @@ TEST(SweepRunner, NoArtifactDirWritesNothing)
 
 TEST(SweepRunner, BaselineNormalization)
 {
+    // A one-point sweep is `polcactl run`'s single point: it must
+    // normalize exactly as the hand pairing of a managed run with
+    // its own unthrottled baseline, at any worker count, and also
+    // when the baseline forks from the managed run's warmup.
     sim::QuietScope quiet(true);
-    std::vector<core::SweepPoint> points;
-    points.push_back({"seed=1", tinyConfig(1), ""});
-    core::SweepOptions options;
-    options.runBaseline = true;
-    options.echoProgress = false;
-    core::SweepRunner runner(points, options);
-    const std::vector<core::SweepPointResult> &results = runner.run();
-    ASSERT_EQ(results.size(), 1u);
-    const core::SweepPointResult &r = results[0];
-    EXPECT_GT(r.baseline.lowCompletions + r.baseline.highCompletions,
-              0u);
-    // Normalized latencies are ratios against the baseline run.
-    EXPECT_GT(r.lowNorm.p99, 0.0);
-    EXPECT_GT(r.highNorm.p99, 0.0);
+    core::ExperimentConfig fresh = tinyConfig(1);
+    fresh.row.addedServerFraction = 0.5;
+    core::ExperimentConfig warm = fresh;
+    warm.warmup = sim::secondsToTicks(300);
+    for (const core::ExperimentConfig &config : {fresh, warm}) {
+        core::ExperimentResult managed =
+            core::runOversubExperiment(config);
+        core::ExperimentResult baseline =
+            core::runOversubExperiment(core::unthrottledBaseline(config));
+        core::NormalizedLatency low =
+            core::normalizeLatency(managed.low, baseline.low);
+        core::NormalizedLatency high =
+            core::normalizeLatency(managed.high, baseline.high);
+        for (int jobs : {1, 2}) {
+            SCOPED_TRACE("warmup " +
+                         std::to_string(config.warmup > 0) + ", jobs " +
+                         std::to_string(jobs));
+            core::SweepOptions options;
+            options.echoProgress = false;
+            options.jobs = jobs;
+            core::SweepRunner runner({{"", config, ""}}, options);
+            const core::SweepPointResult &r = runner.run().front();
+            EXPECT_EQ(r.result.low.p99, managed.low.p99);
+            EXPECT_EQ(r.result.high.p99, managed.high.p99);
+            EXPECT_EQ(r.baseline.low.p99, baseline.low.p99);
+            EXPECT_EQ(r.baseline.high.p99, baseline.high.p99);
+            for (auto [got, want] : {std::pair{r.lowNorm, low},
+                                     std::pair{r.highNorm, high}}) {
+                EXPECT_EQ(got.p50, want.p50);
+                EXPECT_EQ(got.p99, want.p99);
+                EXPECT_EQ(got.max, want.max);
+            }
+        }
+    }
 }
 
 } // namespace

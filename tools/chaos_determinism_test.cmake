@@ -1,6 +1,7 @@
 # Chaos determinism test: the same campaign run twice must produce
-# byte-identical console output and summary CSVs, and a violating
-# seed must be reproducible from a single-run campaign.
+# byte-identical console output and summary CSVs, also when a third
+# run spreads the seeds over four workers, and a violating seed must
+# be reproducible from a single-run campaign.
 execute_process(
     COMMAND ${POLCACTL} chaos --runs 5 --seed 42
             --scenario-file ${SCENARIO}
@@ -33,6 +34,29 @@ execute_process(
     RESULT_VARIABLE csvdiff)
 if(NOT csvdiff EQUAL 0)
     message(FATAL_ERROR "chaos summary CSVs differ between reruns")
+endif()
+
+execute_process(
+    COMMAND ${POLCACTL} chaos --runs 5 --seed 42
+            --scenario-file ${SCENARIO} --set sweep.jobs=4
+            --out-dir ${WORK_DIR}/chaos-c
+    RESULT_VARIABLE rc4
+    OUTPUT_VARIABLE out4)
+if(NOT rc4 EQUAL 0)
+    message(FATAL_ERROR "chaos campaign C (4 workers) failed: ${rc4}")
+endif()
+if(NOT out1 STREQUAL out4)
+    message(FATAL_ERROR "a 4-worker chaos campaign printed different "
+                        "output than the 1-worker one")
+endif()
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/chaos-a/chaos_summary.csv
+            ${WORK_DIR}/chaos-c/chaos_summary.csv
+    RESULT_VARIABLE csvdiff4)
+if(NOT csvdiff4 EQUAL 0)
+    message(FATAL_ERROR "chaos summary CSVs differ between 1 and 4 "
+                        "workers")
 endif()
 
 # Run 3 of the campaign used seed 45; a one-run campaign based at 45

@@ -10,9 +10,8 @@
  *   polcactl trace regenerate FILE [--bin SECONDS] [--seed S] \
  *                             [--out FILE]
  *   polcactl run [--scenario-file FILE] [--set path=value]... \
- *                [--out-dir DIR] [--jobs N] [--branch 0|1] \
- *                [--workload FILE] [--trace FILE] [--metrics FILE] \
- *                [--trace-categories LIST]
+ *                [--out-dir DIR] [--workload FILE] [--trace FILE] \
+ *                [--metrics FILE] [--trace-categories LIST]
  *   polcactl chaos [--runs N] [--seed S] [--scenario-file FILE] \
  *                  [--set path=value]... [--out-dir DIR]
  *   polcactl report <run-dir>...
@@ -24,17 +23,19 @@
  * `run`, `chaos` and `config dump` resolve their configuration
  * through the scenario layer (config/scenario.hh): struct defaults <
  * scenario file < `--set` dotted-path overrides < sweep axis values;
- * `--set` is the only command-line spelling of a scenario key.  A
- * scenario file with a [sweep] section expands into one run per
- * point, executed with one metrics CSV artifact per point plus a
- * summary table; --jobs N (or the file's [sweep] jobs key) runs
- * the points on N worker threads with byte-identical artifacts.
- * When the points share a warmup prefix ([sweep] warmup, sugar for
- * experiment.warmup), the runner simulates the prefix once per
- * distinct prefix and branches every point — and every baseline —
- * from the in-memory snapshot (checkpoint/branch execution;
- * --branch 0 or [sweep] branch = false disables it), with artifacts
- * byte-identical either way.
+ * `--set` is the only command-line spelling of a scenario key.
+ * Every run goes through core::SweepRunner: a single point is a
+ * one-point sweep paired with its unthrottled baseline, a chaos
+ * campaign is a sweep over its seeds, and a scenario file with a
+ * [sweep] section expands into one run per point, executed with one
+ * metrics CSV artifact per point plus a summary table.  The [sweep]
+ * jobs key (`--set sweep.jobs=N`) runs any of them on N worker
+ * threads with byte-identical artifacts.  When the points share a
+ * warmup prefix ([sweep] warmup, sugar for experiment.warmup), the
+ * runner simulates the prefix once per distinct prefix and branches
+ * every point — and every baseline — from the in-memory snapshot
+ * (checkpoint/branch execution; `--set sweep.branch=false` disables
+ * it), with artifacts byte-identical either way.
  *
  * `config dump` prints the fully-resolved effective configuration
  * with per-value provenance comments; the output reparses to the
@@ -67,7 +68,6 @@
 #include "core/oversub_experiment.hh"
 #include "core/run_artifacts.hh"
 #include "core/sweep_runner.hh"
-#include "core/thread_pool.hh"
 #include "faults/fault_plan.hh"
 #include "llm/model_spec.hh"
 #include "llm/phase_model.hh"
@@ -210,9 +210,9 @@ usage()
         "[--out FILE]\n"
         "  polcactl run [--scenario-file FILE] [--set path=value]... "
         "[--out-dir DIR]\n"
-        "               [--jobs N] [--branch 0|1] [--workload FILE]\n"
-        "               [--trace FILE] [--metrics FILE] "
-        "[--trace-categories LIST]\n"
+        "               [--workload FILE] [--trace FILE] "
+        "[--metrics FILE]\n"
+        "               [--trace-categories LIST]\n"
         "  polcactl chaos [--runs N] [--seed S] "
         "[--scenario-file FILE]\n"
         "                 [--set path=value]... [--out-dir DIR]\n"
@@ -236,18 +236,18 @@ usage()
         "defaults with no file.\n"
         "  A [sweep] section runs every point and writes one metrics "
         "CSV per point\n"
-        "  into --out-dir plus a summary table.  --jobs N runs points "
-        "on N worker\n"
-        "  threads (0 = one per hardware thread) with byte-identical "
-        "artifacts;\n"
-        "  a scenario file can set the same via the [sweep] jobs "
-        "key.\n"
-        "  With [sweep] warmup = \"1h\" (sugar for "
-        "experiment.warmup) points sharing a\n"
-        "  warmup prefix simulate it once and branch from the "
-        "snapshot — artifacts\n"
-        "  stay byte-identical; disable via --branch 0 or [sweep] "
-        "branch = false.\n"
+        "  into --out-dir plus a summary table.  --set sweep.jobs=N "
+        "runs a sweep's\n"
+        "  points, a single point's managed/baseline pair or a chaos "
+        "campaign's seeds\n"
+        "  on N worker threads (0 = one per hardware thread) with "
+        "byte-identical\n"
+        "  artifacts.  With [sweep] warmup = \"1h\" (sugar for "
+        "experiment.warmup)\n"
+        "  points sharing a warmup prefix simulate it once and branch "
+        "from the\n"
+        "  snapshot — artifacts stay byte-identical; disable with\n"
+        "  --set sweep.branch=false.\n"
         "  run --trace exports Chrome trace_event JSON "
         "(chrome://tracing);\n"
         "  --metrics dumps the metrics registry (.csv for CSV);\n"
@@ -453,9 +453,15 @@ loadScenario(const Args &args, std::vector<std::string> overrides)
     return set;
 }
 
-/** Detailed single-run report (the classic `polcactl run` output). */
+/**
+ * Detailed single-run report (the classic `polcactl run` output): a
+ * one-point sweep whose managed run feeds --trace, --metrics and the
+ * --out-dir run directory.
+ */
 int
-runSinglePoint(const Args &args, config::ResolvedScenario &point)
+runSinglePoint(const Args &args, const config::ConfigNode &tree,
+               core::SweepPoint point, core::SweepOptions options,
+               std::uint32_t traceCategories)
 {
     core::ExperimentConfig &config = point.config;
 
@@ -475,9 +481,7 @@ runSinglePoint(const Args &args, config::ResolvedScenario &point)
     std::string outDir = args.text("out-dir", "");
     obs::Observability observability;
     if (!traceOut.empty() || !metricsOut.empty() || !outDir.empty()) {
-        observability.trace.setCategoryMask(
-            obs::parseTraceCategories(
-                args.text("trace-categories", "all")));
+        observability.trace.setCategoryMask(traceCategories);
         config.obs = &observability;
     }
 
@@ -501,7 +505,11 @@ runSinglePoint(const Args &args, config::ResolvedScenario &point)
                     config.manager.watchdogEnabled ? "on" : "off");
     }
 
-    core::ExperimentResult result = runOversubExperiment(config);
+    core::SweepRunner runner({point}, options);
+    const core::SweepPointResult &done = runner.run().front();
+    const core::ExperimentResult &result = done.result;
+    const core::NormalizedLatency &low = done.lowNorm;
+    const core::NormalizedLatency &high = done.highNorm;
 
     if (!traceOut.empty()) {
         std::ofstream file(traceOut);
@@ -526,24 +534,15 @@ runSinglePoint(const Args &args, config::ResolvedScenario &point)
                     observability.metrics.size(), metricsOut.c_str());
     }
 
-    core::ExperimentConfig baselineConfig =
-        core::unthrottledBaseline(config);
-    baselineConfig.obs = nullptr;
-    core::ExperimentResult baseline =
-        runOversubExperiment(baselineConfig);
-    core::NormalizedLatency low =
-        core::normalizeLatency(result.low, baseline.low);
-    core::NormalizedLatency high =
-        core::normalizeLatency(result.high, baseline.high);
-
     if (!outDir.empty()) {
         core::RunDirOptions dirOptions;
         dirOptions.dir = outDir;
         dirOptions.scenarioPath = args.text("scenario-file", "");
         dirOptions.command = "run";
         std::ostringstream resolved;
-        config::dumpResolved(config, point.tree, resolved);
+        config::dumpResolved(config, tree, resolved);
         dirOptions.resolvedConfig = resolved.str();
+        dirOptions.jobs = options.jobs;
         std::vector<std::string> written = core::writeRunDir(
             dirOptions, config, result, low, high,
             config.obs);
@@ -649,16 +648,8 @@ cmdRun(const Args &args)
     if (!loaded)
         return 2;
     config::ScenarioSet &set = *loaded;
-
-    if (!set.isSweep())
-        return runSinglePoint(args, set.points.front());
-
-    if (args.has("trace") || args.has("metrics") ||
-        args.has("workload")) {
-        sim::fatal("--trace/--metrics/--workload do not apply to "
-                   "sweep runs; use --out-dir for per-point "
-                   "artifacts");
-    }
+    std::uint32_t traceCategories = obs::parseTraceCategories(
+        args.text("trace-categories", "all"));
 
     std::vector<core::SweepPoint> points;
     points.reserve(set.points.size());
@@ -666,26 +657,26 @@ cmdRun(const Args &args)
         points.push_back({point.label, point.config,
                           config::warmupDigest(point.config, point.tree)});
     }
-
     core::SweepOptions options;
-    options.artifactDir =
-        args.text("out-dir", "sweep-" + set.name);
+    options.echoProgress = set.isSweep();
     options.jobs = set.jobs;
-    if (args.has("jobs")) {
-        double jobs = args.number("jobs", 1);
-        if (jobs < 0 || jobs != static_cast<int>(jobs))
-            sim::fatal("--jobs: expected a non-negative integer");
-        options.jobs = jobs == 0
-            ? static_cast<int>(core::ThreadPool::defaultWorkerCount())
-            : static_cast<int>(jobs);
-    }
     options.branch = set.branch;
-    if (args.has("branch")) {
-        double branch = args.number("branch", 1);
-        if (branch != 0 && branch != 1)
-            sim::fatal("--branch: expected 0 or 1");
-        options.branch = branch == 1;
+
+    if (!set.isSweep()) {
+        return runSinglePoint(args, set.points.front().tree,
+                              std::move(points.front()),
+                              std::move(options), traceCategories);
     }
+
+    if (args.has("trace") || args.has("metrics") ||
+        args.has("workload") || args.has("trace-categories")) {
+        sim::fatal("--trace/--metrics/--workload/--trace-categories "
+                   "do not apply to sweep runs; use --out-dir for "
+                   "per-point artifacts");
+    }
+
+    std::string outDir = args.text("out-dir", "sweep-" + set.name);
+    options.artifactDir = outDir;
 
     // Sweep provenance: the manifest digest covers every point's
     // fully-resolved configuration, labels included.
@@ -699,7 +690,7 @@ cmdRun(const Args &args)
     }
     options.manifest.configDigest = obs::fnv1a64Hex(resolved.str());
     options.manifest.seed = set.points.front().config.seed;
-    options.manifest.jobs = options.jobs;
+    options.manifest.jobs = set.jobs;
     options.manifest.durationS =
         sim::ticksToSeconds(set.points.front().config.duration);
     options.manifest.metricsIntervalS = sim::ticksToSeconds(
@@ -709,12 +700,11 @@ cmdRun(const Args &args)
     const std::vector<core::SweepPointResult> &results = runner.run();
 
     std::printf("\nSweep '%s': %zu points (%d worker%s)\n",
-                set.name.c_str(), results.size(), options.jobs,
-                options.jobs == 1 ? "" : "s");
+                set.name.c_str(), results.size(), set.jobs,
+                set.jobs == 1 ? "" : "s");
     runner.summaryTable().print(std::cout);
     std::printf("\nArtifacts in %s (one metrics CSV per point + "
-                "summary.csv)\n",
-                args.text("out-dir", "sweep-" + set.name).c_str());
+                "summary.csv)\n", outDir.c_str());
     return 0;
 }
 
@@ -777,17 +767,31 @@ cmdChaos(const Args &args)
                 base.row.addedServerFraction * 100.0,
                 sim::ticksToSeconds(base.duration) / 3600.0);
 
+    // A sweep over the seeds, with no baselines.  Sequential seeds,
+    // so any reported seed reproduces directly via `--runs 1 --seed
+    // <seed>` (run 0 = the base seed).
+    std::vector<core::SweepPoint> points;
+    for (int i = 0; i < runs; ++i) {
+        points.push_back({"", base, ""});
+        points.back().config.seed =
+            baseSeed + static_cast<std::uint64_t>(i);
+    }
+    core::SweepOptions options;
+    options.runBaseline = false;
+    options.echoProgress = false;
+    options.jobs = set.jobs;
+    options.branch = set.branch;
+    core::SweepRunner runner(points, options);
+    const std::vector<core::SweepPointResult> &results = runner.run();
+
     analysis::Table table({"run", "seed", "ctl crashes",
                            "srv crashes", "failsafe", "failsafe (s)",
                            "MTTR max (s)", "caps stale (s)",
                            "violations"});
     std::uint64_t totalViolations = 0;
     for (int i = 0; i < runs; ++i) {
-        core::ExperimentConfig config = base;
-        // Sequential seeds, so any reported seed reproduces directly
-        // via `--runs 1 --seed <seed>` (run 0 = the base seed).
-        config.seed = baseSeed + static_cast<std::uint64_t>(i);
-        core::ExperimentResult result = runOversubExperiment(config);
+        const core::ExperimentConfig &config = points[i].config;
+        const core::ExperimentResult &result = results[i].result;
         totalViolations += result.violations.size();
 
         table.row()
@@ -850,6 +854,7 @@ cmdChaos(const Args &args)
         config::dumpResolved(base, set.points.front().tree, resolved);
         manifest.configDigest = obs::fnv1a64Hex(resolved.str());
         manifest.seed = baseSeed;
+        manifest.jobs = set.jobs;
         manifest.durationS = sim::ticksToSeconds(base.duration);
         manifest.metricsIntervalS =
             sim::ticksToSeconds(base.obsOptions.metricsInterval);
@@ -961,8 +966,8 @@ main(int argc, char **argv)
         return cmdPolicy(Args(argc, argv, 2, {}));
     if (command == "run") {
         return cmdRun(Args(argc, argv, 2,
-                           {"scenario-file", "set", "out-dir", "jobs",
-                            "branch", "workload", "trace", "metrics",
+                           {"scenario-file", "set", "out-dir",
+                            "workload", "trace", "metrics",
                             "trace-categories"}));
     }
     if (command == "chaos") {

@@ -2,39 +2,39 @@
 # directory twice, generate a report from the first, structurally
 # check every artifact, and require the two same-seed run directories
 # (reports included) to be byte-identical — the determinism contract
-# `polcactl report` documents.
+# `polcactl report` documents.  A third run on two workers (the
+# managed run and its baseline side by side) must write the same
+# artifacts; only its manifest.json differs, recording the worker
+# count.
 #
 # Inputs: POLCACTL (binary), WORK_DIR (scratch), SCENARIO (smoke.toml)
 
 set(run_a ${WORK_DIR}/report-smoke-a)
 set(run_b ${WORK_DIR}/report-smoke-b)
-file(REMOVE_RECURSE ${run_a} ${run_b})
+set(run_c ${WORK_DIR}/report-smoke-c)
+file(REMOVE_RECURSE ${run_a} ${run_b} ${run_c})
 
-foreach(dir ${run_a} ${run_b})
+foreach(dir ${run_a} ${run_b} ${run_c})
+    set(workers)
+    if(dir STREQUAL run_c)
+        set(workers --set sweep.jobs=2)
+    endif()
     execute_process(
         COMMAND ${POLCACTL} run --scenario-file ${SCENARIO}
-                --out-dir ${dir}
+                ${workers} --out-dir ${dir}
         RESULT_VARIABLE rc
         OUTPUT_QUIET)
     if(NOT rc EQUAL 0 AND NOT rc EQUAL 1)
         message(FATAL_ERROR "polcactl run crashed: ${rc}")
     endif()
+    execute_process(
+        COMMAND ${POLCACTL} report ${dir}
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "polcactl report ${dir} failed: ${rc}")
+    endif()
 endforeach()
-
-execute_process(
-    COMMAND ${POLCACTL} report ${run_a}
-    RESULT_VARIABLE rc
-    OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "polcactl report failed: ${rc}")
-endif()
-execute_process(
-    COMMAND ${POLCACTL} report ${run_b}
-    RESULT_VARIABLE rc
-    OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "polcactl report (second run) failed: ${rc}")
-endif()
 
 # --- structural checks on run A -----------------------------------
 foreach(artifact manifest.json resolved.toml result.csv metrics.csv
@@ -91,3 +91,26 @@ foreach(artifact manifest.json resolved.toml result.csv metrics.csv
             "same-seed runs differ in ${artifact}")
     endif()
 endforeach()
+
+# --- two workers: same artifacts, manifest aside -------------------
+file(GLOB artifacts_a RELATIVE ${run_a} ${run_a}/*)
+file(GLOB artifacts_c RELATIVE ${run_c} ${run_c}/*)
+if(NOT artifacts_a STREQUAL artifacts_c)
+    message(FATAL_ERROR "sweep.jobs=2 run wrote '${artifacts_c}', "
+                        "jobs=1 wrote '${artifacts_a}'")
+endif()
+list(REMOVE_ITEM artifacts_a manifest.json)
+foreach(artifact ${artifacts_a})
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${run_a}/${artifact} ${run_c}/${artifact}
+        RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        message(FATAL_ERROR
+            "sweep.jobs=2 run differs from jobs=1 in ${artifact}")
+    endif()
+endforeach()
+file(READ ${run_c}/manifest.json manifest_c)
+if(NOT manifest_c MATCHES "\"jobs\": 2,")
+    message(FATAL_ERROR "sweep.jobs=2 manifest does not record 2 jobs")
+endif()
