@@ -22,21 +22,35 @@ toString(ServerRole role)
     return "?";
 }
 
+InferenceServer::InferenceServer(
+    sim::Simulation &sim,
+    std::shared_ptr<const power::ServerSpec> serverSpec,
+    std::shared_ptr<const llm::ModelSpec> model, workload::Priority pool,
+    int id, std::size_t bufferSize, ServerRole role)
+    : sim_(sim), server_(std::move(serverSpec)), phases_(std::move(model)),
+      pool_(pool), id_(id), bufferSize_(bufferSize), role_(role),
+      usedGpus_(static_cast<std::size_t>(phases_.model().inferenceGpus))
+{
+    const llm::ModelSpec &spec = phases_.model();
+    if (spec.inferenceGpus <= 0 || usedGpus_ > server_.numGpus()) {
+        sim::fatal("InferenceServer: model '", spec.name, "' needs ",
+                   spec.inferenceGpus, " GPUs; server has ",
+                   server_.numGpus());
+    }
+}
+
 InferenceServer::InferenceServer(sim::Simulation &sim,
                                  power::ServerSpec serverSpec,
                                  const llm::ModelSpec &model,
                                  workload::Priority pool, int id,
                                  std::size_t bufferSize,
                                  ServerRole role)
-    : sim_(sim), server_(std::move(serverSpec)), phases_(model),
-      pool_(pool), id_(id), bufferSize_(bufferSize), role_(role),
-      usedGpus_(static_cast<std::size_t>(model.inferenceGpus))
+    : InferenceServer(
+          sim,
+          std::make_shared<const power::ServerSpec>(std::move(serverSpec)),
+          std::make_shared<const llm::ModelSpec>(model), pool, id,
+          bufferSize, role)
 {
-    if (model.inferenceGpus <= 0 || usedGpus_ > server_.numGpus()) {
-        sim::fatal("InferenceServer: model '", model.name, "' needs ",
-                   model.inferenceGpus, " GPUs; server has ",
-                   server_.numGpus());
-    }
 }
 
 void
@@ -82,30 +96,42 @@ InferenceServer::RequestBuffer::assign(
     head_ = 0;
 }
 
+InferenceServer::ObsHandles
+InferenceServer::ObsHandles::resolve(obs::Observability *sink)
+{
+    ObsHandles handles;
+    if (!sink)
+        return handles;
+    handles.sink = sink;
+    handles.batches = &sink->metrics.counter(
+        "server.batches", "batches started across the fleet");
+    handles.completions = &sink->metrics.counter(
+        "server.completions", "requests completed across the fleet");
+    handles.dropped = &sink->metrics.counter(
+        "server.dropped_requests", "requests lost to server crashes");
+    handles.promptTicks = &sink->metrics.counter(
+        "server.prompt_ticks", "ticks spent in prompt phases");
+    handles.tokenTicks = &sink->metrics.counter(
+        "server.token_ticks", "ticks spent in token phases");
+    handles.occupancy = &sink->metrics.histogram(
+        "server.batch_occupancy", 0.0, 32.0, 16,
+        "requests coalesced per batch");
+    return handles;
+}
+
 void
 InferenceServer::attachObservability(obs::Observability *obs)
 {
-    if (!obs) {
-        trace_ = nullptr;
-        batchStat_ = completionStat_ = droppedStat_ =
-            promptTicksStat_ = tokenTicksStat_ = nullptr;
-        occupancyStat_ = nullptr;
-        return;
-    }
-    trace_ = &obs->trace;
-    batchStat_ = &obs->metrics.counter(
-        "server.batches", "batches started across the fleet");
-    completionStat_ = &obs->metrics.counter(
-        "server.completions", "requests completed across the fleet");
-    droppedStat_ = &obs->metrics.counter(
-        "server.dropped_requests", "requests lost to server crashes");
-    promptTicksStat_ = &obs->metrics.counter(
-        "server.prompt_ticks", "ticks spent in prompt phases");
-    tokenTicksStat_ = &obs->metrics.counter(
-        "server.token_ticks", "ticks spent in token phases");
-    occupancyStat_ = &obs->metrics.histogram(
-        "server.batch_occupancy", 0.0, 32.0, 16,
-        "requests coalesced per batch");
+    attachObservability(ObsHandles::resolve(obs));
+}
+
+void
+InferenceServer::attachObservability(const ObsHandles &handles)
+{
+    POLCA_DCHECK(handles == ObsHandles::resolve(handles.sink),
+                 "server ", id_, ": metric handles differ from the "
+                 "sink's registry (stale or hand-built handle)");
+    obs_ = handles;
 }
 
 llm::InferenceConfig
@@ -179,12 +205,10 @@ InferenceServer::startBatch(std::vector<workload::Request> requests)
     active_.emplace();
     active_->requests = std::move(requests);
     active_->serviceStart = sim_.now();
-    if (batchStat_)
-        ++*batchStat_;
-    if (occupancyStat_) {
-        occupancyStat_->add(
-            static_cast<double>(active_->requests.size()));
-    }
+    if (obs_.batches)
+        ++*obs_.batches;
+    if (obs_.occupancy)
+        obs_.occupancy->add(static_cast<double>(active_->requests.size()));
     beginPhase(role_ == ServerRole::TokenOnly ? llm::Phase::Token
                                               : llm::Phase::Prompt);
 }
@@ -252,7 +276,7 @@ void
 InferenceServer::phaseEnded()
 {
     obs::Counter *phaseTicks = active_->phase == llm::Phase::Prompt
-        ? promptTicksStat_ : tokenTicksStat_;
+        ? obs_.promptTicks : obs_.tokenTicks;
     if (phaseTicks) {
         *phaseTicks += static_cast<std::uint64_t>(
             sim_.now() - active_->phaseStart);
@@ -280,14 +304,13 @@ InferenceServer::phaseEnded()
     }
     busyTicks_ += sim_.now() - active_->serviceStart;
     completed_ += completions.size();
-    if (completionStat_)
-        *completionStat_ += completions.size();
-    if (trace_) {
-        trace_->complete(obs::TraceCategory::Cluster, "batch",
-                         active_->serviceStart,
-                         sim_.now() - active_->serviceStart, id_,
-                         static_cast<double>(
-                             active_->requests.size()));
+    if (obs_.completions)
+        *obs_.completions += completions.size();
+    if (obs_.sink) {
+        obs_.sink->trace.complete(
+            obs::TraceCategory::Cluster, "batch", active_->serviceStart,
+            sim_.now() - active_->serviceStart, id_,
+            static_cast<double>(active_->requests.size()));
     }
     active_.reset();
     applyDesiredClock();  // release any phase-aware token clock
@@ -399,8 +422,8 @@ InferenceServer::crash()
         active_.reset();
     }
     droppedRequests_ += lost;
-    if (droppedStat_)
-        *droppedStat_ += lost;
+    if (obs_.dropped)
+        *obs_.dropped += lost;
     buffer_.clear();
     // A reboot clears the BMC-applied state: the lock and brake are
     // gone until the manager's verification pass re-issues them.

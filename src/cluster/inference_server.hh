@@ -7,15 +7,19 @@
  * frequency locks.
  *
  * A site builds ten thousand of these, so a server holds only what
- * varies per server: its GPUs share one spec (power::ServerModel),
- * the GPUs a model uses are a count, and the request buffer
- * allocates nothing until a request is buffered.
+ * varies per server: the servers of a row group share one server
+ * spec and one model spec, its GPUs point into the server spec
+ * (power::ServerModel), the GPUs a model uses are a count, the
+ * fleet-wide metrics are resolved once per run and handed to every
+ * server, and the request buffer allocates nothing until a request
+ * is buffered.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -70,6 +74,16 @@ class InferenceServer : public telemetry::ClockControllable
     using CompletionCallback =
         std::function<void(InferenceServer &, const Completion &)>;
 
+    /** A server sharing @p serverSpec and @p model with the other
+     *  servers of its row group. */
+    InferenceServer(sim::Simulation &sim,
+                    std::shared_ptr<const power::ServerSpec> serverSpec,
+                    std::shared_ptr<const llm::ModelSpec> model,
+                    workload::Priority pool, int id,
+                    std::size_t bufferSize = 1,
+                    ServerRole role = ServerRole::Combined);
+
+    /** A server with its own copies of both specs (standalone use). */
     InferenceServer(sim::Simulation &sim, power::ServerSpec serverSpec,
                     const llm::ModelSpec &model,
                     workload::Priority pool, int id,
@@ -77,12 +91,38 @@ class InferenceServer : public telemetry::ClockControllable
                     ServerRole role = ServerRole::Combined);
 
     /**
-     * Register fleet-wide serving counters (all servers share the
-     * same "server.*" metric objects, so they aggregate across the
-     * fleet), the batch-occupancy histogram, and per-batch trace
-     * spans (one Chrome "thread" per server id) with @p obs.
+     * The fleet-wide serving counters, the batch-occupancy histogram
+     * and the trace recorder of one sink.  Every server updates the
+     * same "server.*" objects, so the metrics aggregate across the
+     * fleet and one handle serves every server of a run.
+     */
+    struct ObsHandles
+    {
+        obs::Observability *sink = nullptr;  ///< null: detached
+        obs::Counter *batches = nullptr;
+        obs::Counter *completions = nullptr;
+        obs::Counter *dropped = nullptr;
+        obs::Counter *promptTicks = nullptr;
+        obs::Counter *tokenTicks = nullptr;
+        obs::Histogram *occupancy = nullptr;
+
+        /** Look the metrics up in @p sink's registry, registering
+         *  them on first use; a null sink gives null handles. */
+        static ObsHandles resolve(obs::Observability *sink);
+
+        bool operator==(const ObsHandles &) const = default;
+    };
+
+    /**
+     * Report serving counters, batch occupancy and per-batch trace
+     * spans (one Chrome "thread" per server id) to @p obs; null
+     * detaches.  Resolves the handles and attaches them.
      */
     void attachObservability(obs::Observability *obs);
+
+    /** Attach handles resolved once for the whole fleet: no registry
+     *  lookup per server. */
+    void attachObservability(const ObsHandles &handles);
 
     int id() const { return id_; }
     workload::Priority pool() const { return pool_; }
@@ -377,13 +417,8 @@ class InferenceServer : public telemetry::ClockControllable
     std::uint64_t completed_ = 0;
     sim::Tick busyTicks_ = 0;
 
-    obs::TraceRecorder *trace_ = nullptr;
-    obs::Counter *batchStat_ = nullptr;
-    obs::Counter *completionStat_ = nullptr;
-    obs::Counter *droppedStat_ = nullptr;
-    obs::Counter *promptTicksStat_ = nullptr;
-    obs::Counter *tokenTicksStat_ = nullptr;
-    obs::Histogram *occupancyStat_ = nullptr;
+    // polca-snapshot: skip(obs_, observability wiring; re-attached by the harness)
+    ObsHandles obs_;
 };
 
 } // namespace polca::cluster

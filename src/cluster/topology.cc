@@ -1,6 +1,7 @@
 #include "cluster/topology.hh"
 
 #include <cmath>
+#include <memory>
 #include <unordered_set>
 
 #include "cluster/allocator.hh"
@@ -66,13 +67,16 @@ validGroupName(const std::string &name)
 
 namespace {
 
-/** Build server @p id with the row-scope knobs of @p shared, register
- *  it with @p dispatcher, and adopt it as a leaf of @p parent. */
+/** Build server @p id on its group's shared specs with the row-scope
+ *  knobs of @p shared, register it with @p dispatcher, and adopt it as
+ *  a leaf of @p parent. */
 void
 deployServer(sim::Simulation &sim, PowerDomain &parent,
-          Dispatcher &dispatcher, const power::ServerSpec &spec,
-          const llm::ModelSpec &model, workload::Priority pool, int id,
-          double provisionedWatts, const RowConfig &shared)
+             Dispatcher &dispatcher,
+             const std::shared_ptr<const power::ServerSpec> &spec,
+             const std::shared_ptr<const llm::ModelSpec> &model,
+             workload::Priority pool, int id, double provisionedWatts,
+             const RowConfig &shared)
 {
     auto server = std::make_unique<InferenceServer>(
         sim, spec, model, pool, id, shared.bufferSize);
@@ -122,8 +126,12 @@ Site::Site(sim::Simulation &sim, const TopologyConfig &config,
     root_ = std::make_unique<PowerDomain>(sim, siteOptions);
 
     for (const TopologyRowGroup &group : config.groups) {
-        power::ServerSpec spec = power::ServerSpec::byName(group.server);
-        llm::ModelSpec model = catalog.byName(group.model);
+        // One immutable spec of each kind per group, shared by all of
+        // the group's servers.
+        auto spec = std::make_shared<const power::ServerSpec>(
+            power::ServerSpec::byName(group.server));
+        auto model = std::make_shared<const llm::ModelSpec>(
+            catalog.byName(group.model));
         int serversPerRow = group.racksPerRow * group.serversPerRack;
         double rowBudget = config.rowBudgetFraction *
             group.provisionedPerServerWatts * serversPerRow;
@@ -204,7 +212,8 @@ Site::Site(sim::Simulation &sim, const RowConfig &row, sim::Rng rng,
 
     SiteRow siteRow;
     siteRow.name = "row";
-    siteRow.model = effectiveModelSpec(row);
+    siteRow.model =
+        std::make_shared<const llm::ModelSpec>(effectiveModelSpec(row));
     siteRow.rng = std::move(rng);
 
     PowerDomain::Options options;
@@ -226,9 +235,9 @@ Site::Site(sim::Simulation &sim, const RowConfig &row, sim::Rng rng,
     int total = row.deployedServers();
     std::vector<workload::Priority> priorities =
         allocatePriorities(total, row.lpServerFraction);
+    auto spec = std::make_shared<const power::ServerSpec>(row.serverSpec);
     for (int i = 0; i < total; ++i) {
-        deployServer(sim, *root_, *siteRow.dispatcher, row.serverSpec,
-                     siteRow.model,
+        deployServer(sim, *root_, *siteRow.dispatcher, spec, siteRow.model,
                      priorities[static_cast<std::size_t>(i)], i,
                      row.provisionedPerServerWatts, row);
     }

@@ -204,7 +204,10 @@ class Site
         std::string name;
         PowerDomain *domain = nullptr;
         std::unique_ptr<Dispatcher> dispatcher;
-        llm::ModelSpec model;
+
+        /** The model the row's servers serve; one immutable spec per
+         *  row group, shared with every server of the group. */
+        std::shared_ptr<const llm::ModelSpec> model;
 
         /** The row's stream; per-row components (dispatcher,
          *  manager) fork from it.  In a site tree it is forkPath(name)

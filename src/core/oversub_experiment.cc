@@ -177,8 +177,12 @@ attachObservability(World &world)
     }
     for (cluster::Site::SiteRow &row : site.rows())
         row.dispatcher->attachObservability(obs);
+    // Every server updates the same fleet-wide server.* metrics:
+    // resolve them once and hand the handles to each server.
+    cluster::InferenceServer::ObsHandles serverObs =
+        cluster::InferenceServer::ObsHandles::resolve(obs);
     for (cluster::InferenceServer *server : site.root().servers())
-        server->attachObservability(obs);
+        server->attachObservability(serverObs);
     // Sim-core stats: the sim layer cannot depend on obs, so the
     // harness registers gauge sources over the queue's own
     // accessors; freezeGauges() at the run end snapshots them.

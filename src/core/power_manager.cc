@@ -89,14 +89,27 @@ PowerManager::addTarget(workload::Priority pool,
         auto track = static_cast<std::int32_t>(
             state.channels.size() - 1 +
             (pool == workload::Priority::High ? 100 : 0));
-        state.channels.back()->attachObservability(obs_, track);
+        state.channels.back()->attachObservability(channelObs(), track);
     }
+}
+
+const telemetry::SmbpbiController::ObsHandles &
+PowerManager::channelObs()
+{
+    // Resolved at the first channel that attaches to obs_, so a
+    // manager without channels registers no smbpbi.* metric.
+    // attachObservability() clears the handles, so they never
+    // outlive the sink they were resolved from.
+    if (channelObs_.sink != obs_)
+        channelObs_ = telemetry::SmbpbiController::ObsHandles::resolve(obs_);
+    return channelObs_;
 }
 
 void
 PowerManager::attachObservability(obs::Observability *obs)
 {
     obs_ = obs;
+    channelObs_ = {};
     if (!obs) {
         trace_ = nullptr;
         capStat_ = uncapStat_ = reissueStat_ = brakeStat_ =
@@ -105,7 +118,7 @@ PowerManager::attachObservability(obs::Observability *obs)
         brakeDwellStat_ = mttrStat_ = nullptr;
         for (PoolState *pool : {&lowPool_, &highPool_}) {
             for (auto &channel : pool->channels)
-                channel->attachObservability(nullptr, 0);
+                channel->attachObservability(channelObs(), 0);
         }
         return;
     }
@@ -145,7 +158,7 @@ PowerManager::attachObservability(obs::Observability *obs)
         for (std::size_t i = 0; i < state.channels.size(); ++i) {
             auto track = static_cast<std::int32_t>(
                 i + (pool == workload::Priority::High ? 100 : 0));
-            state.channels[i]->attachObservability(obs, track);
+            state.channels[i]->attachObservability(channelObs(), track);
         }
     }
 }

@@ -317,6 +317,10 @@ class PowerManager : public faults::ControllerHooks
         sim::Tick lockedTicks = 0;
     };
 
+    /** The smbpbi.* handles of obs_, resolved at the first channel
+     *  attached to it (null handles while obs_ is null). */
+    const telemetry::SmbpbiController::ObsHandles &channelObs();
+
     void onReading(sim::Tick now, double watts);
     void updateRuleStates(sim::Tick now, double utilization);
     void applyDesiredLocks(sim::Tick now);
@@ -380,6 +384,7 @@ class PowerManager : public faults::ControllerHooks
     sim::Tick brakeTicks_ = 0;
 
     obs::Observability *obs_ = nullptr;
+    telemetry::SmbpbiController::ObsHandles channelObs_;
     obs::TraceRecorder *trace_ = nullptr;
     obs::Counter *capStat_ = nullptr;
     obs::Counter *uncapStat_ = nullptr;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "core/contracts.hh"
 #include "sim/logging.hh"
 
 namespace polca::llm {
@@ -13,10 +15,21 @@ toString(Phase phase)
     return phase == Phase::Prompt ? "prompt" : "token";
 }
 
+PhaseModel::PhaseModel(ModelSpec model)
+    : PhaseModel(std::make_shared<const ModelSpec>(std::move(model)))
+{
+}
+
+PhaseModel::PhaseModel(std::shared_ptr<const ModelSpec> model)
+    : model_(std::move(model))
+{
+    POLCA_CHECK(model_ != nullptr, "PhaseModel: null model spec");
+}
+
 int
 PhaseModel::numGpus(const InferenceConfig &config) const
 {
-    return model_.gpusForDatatype(config.datatype);
+    return model_->gpusForDatatype(config.datatype);
 }
 
 double
@@ -37,11 +50,11 @@ PhaseModel::promptDuration(const InferenceConfig &config) const
 
     double tokens = static_cast<double>(config.inputTokens) *
         config.batchSize;
-    double ms = model_.promptMsPerKtoken * tokens / 1000.0;
+    double ms = model_->promptMsPerKtoken * tokens / 1000.0;
     ms *= ModelSpec::datatypeLatencyFactor(config.datatype);
     // The per-ktoken constant assumes Table 3's GPU count; rescale if
     // the datatype changes the tensor-parallel width.
-    ms *= static_cast<double>(model_.inferenceGpus) / numGpus(config);
+    ms *= static_cast<double>(model_->inferenceGpus) / numGpus(config);
     return sim::msToTicks(ms);
 }
 
@@ -53,11 +66,11 @@ PhaseModel::tokenPhaseDuration(const InferenceConfig &config) const
     if (config.outputTokens == 0)
         return 0;
 
-    double perToken = model_.tokenTimeMs *
-        (1.0 + model_.tokenBatchFactor *
+    double perToken = model_->tokenTimeMs *
+        (1.0 + model_->tokenBatchFactor *
          std::log2(static_cast<double>(config.batchSize)));
     perToken *= ModelSpec::datatypeLatencyFactor(config.datatype);
-    perToken *= static_cast<double>(model_.inferenceGpus) /
+    perToken *= static_cast<double>(model_->inferenceGpus) /
         numGpus(config);
     return sim::msToTicks(perToken * config.outputTokens);
 }
@@ -73,9 +86,9 @@ PhaseModel::latencyAtClock(const InferenceConfig &config,
                            const power::GpuPowerModel &gpu) const
 {
     double prompt = static_cast<double>(promptDuration(config)) *
-        gpu.slowdownFactor(model_.promptComputeBoundFraction);
+        gpu.slowdownFactor(model_->promptComputeBoundFraction);
     double token = static_cast<double>(tokenPhaseDuration(config)) *
-        gpu.slowdownFactor(model_.tokenComputeBoundFraction);
+        gpu.slowdownFactor(model_->tokenComputeBoundFraction);
     return static_cast<sim::Tick>(prompt + token);
 }
 
@@ -84,22 +97,22 @@ PhaseModel::promptActivity(const InferenceConfig &config) const
 {
     double tokens = static_cast<double>(config.inputTokens) *
         config.batchSize;
-    double compute = logGrowth(model_.promptComputeBase,
-                               model_.promptComputeMax, tokens,
+    double compute = logGrowth(model_->promptComputeBase,
+                               model_->promptComputeMax, tokens,
                                256.0, 0.08);
     compute *= ModelSpec::datatypePowerFactor(config.datatype);
-    return {compute, model_.promptMemActivity};
+    return {compute, model_->promptMemActivity};
 }
 
 power::GpuActivity
 PhaseModel::tokenActivity(const InferenceConfig &config) const
 {
     double batch = static_cast<double>(config.batchSize);
-    double compute = model_.tokenComputeBase *
+    double compute = model_->tokenComputeBase *
         (1.0 + 0.10 * std::log2(std::max(batch, 1.0)));
     compute *= ModelSpec::datatypePowerFactor(config.datatype);
     double memory = std::min(
-        1.0, model_.tokenMemActivity *
+        1.0, model_->tokenMemActivity *
         (1.0 + 0.02 * std::log2(std::max(batch, 1.0))));
     return {compute, memory};
 }
@@ -114,8 +127,8 @@ PhaseModel::activity(Phase phase, const InferenceConfig &config) const
 double
 PhaseModel::computeBoundFraction(Phase phase) const
 {
-    return phase == Phase::Prompt ? model_.promptComputeBoundFraction
-                                  : model_.tokenComputeBoundFraction;
+    return phase == Phase::Prompt ? model_->promptComputeBoundFraction
+                                  : model_->tokenComputeBoundFraction;
 }
 
 } // namespace polca::llm

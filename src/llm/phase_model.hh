@@ -7,7 +7,7 @@
 
 #pragma once
 
-#include <utility>
+#include <memory>
 
 #include "llm/model_spec.hh"
 #include "power/gpu_power_model.hh"
@@ -43,10 +43,13 @@ class PhaseModel
 {
   public:
     /** Copies the spec: a PhaseModel may safely outlive the catalog
-     *  it was built from. */
-    explicit PhaseModel(ModelSpec model) : model_(std::move(model)) {}
+     *  it was built from (standalone use). */
+    explicit PhaseModel(ModelSpec model);
 
-    const ModelSpec &model() const { return model_; }
+    /** Shares @p model with the other servers of its row group. */
+    explicit PhaseModel(std::shared_ptr<const ModelSpec> model);
+
+    const ModelSpec &model() const { return *model_; }
 
     /** Tensor-parallel GPUs the config needs (datatype dependent). */
     int numGpus(const InferenceConfig &config) const;
@@ -89,7 +92,8 @@ class PhaseModel
     static double logGrowth(double base, double max, double tokens,
                             double refTokens, double slope);
 
-    ModelSpec model_;
+    // polca-snapshot: skip(model_, immutable configuration shared by the group)
+    std::shared_ptr<const ModelSpec> model_;  ///< never null
 };
 
 } // namespace polca::llm

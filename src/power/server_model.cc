@@ -91,8 +91,14 @@ ServerSpec::provisionedBreakdown() const
 }
 
 ServerModel::ServerModel(ServerSpec spec)
-    : spec_(std::make_shared<const ServerSpec>(std::move(spec)))
+    : ServerModel(std::make_shared<const ServerSpec>(std::move(spec)))
 {
+}
+
+ServerModel::ServerModel(std::shared_ptr<const ServerSpec> spec)
+    : spec_(std::move(spec))
+{
+    POLCA_CHECK(spec_ != nullptr, "ServerModel: null spec");
     if (spec_->numGpus == 0)
         sim::fatal("ServerModel: server '", spec_->name, "' has no GPUs");
     // Aliasing pointer: the GPUs share the server spec's block.

@@ -79,9 +79,9 @@ struct ServerSpec
 /**
  * A live server: owns its GPUs and derives total electrical draw.
  *
- * The server holds one immutable ServerSpec, built at construction;
- * its GPUs point at that spec's GpuSpec, and a copy of the server
- * shares both.
+ * The server holds one immutable ServerSpec, which every server of a
+ * row group shares; its GPUs point at that spec's GpuSpec, and a copy
+ * of the server shares both.
  *
  * The draw is computed once per change, not once per read: every
  * mutator marks the cached GPU, host and total draw stale, and the
@@ -92,7 +92,11 @@ struct ServerSpec
 class ServerModel
 {
   public:
+    /** A server with its own copy of @p spec (standalone use). */
     explicit ServerModel(ServerSpec spec);
+
+    /** A server sharing @p spec with the other servers of its group. */
+    explicit ServerModel(std::shared_ptr<const ServerSpec> spec);
 
     const ServerSpec &spec() const { return *spec_; }
 
@@ -145,6 +149,7 @@ class ServerModel
     /** The cached draw, re-evaluated first when stale. */
     const Draw &draw() const;
 
+    // polca-snapshot: skip(spec_, immutable configuration shared by the group; copies share it)
     std::shared_ptr<const ServerSpec> spec_;  ///< never null
     std::vector<GpuPowerModel> gpus_;
     // polca-snapshot: skip(draw_, derived; copied with the GPUs it was computed from)

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/contracts.hh"
+
 namespace polca::telemetry {
 
 SmbpbiController::SmbpbiController(sim::Simulation &sim,
@@ -11,33 +13,46 @@ SmbpbiController::SmbpbiController(sim::Simulation &sim,
 {
 }
 
+SmbpbiController::ObsHandles
+SmbpbiController::ObsHandles::resolve(obs::Observability *sink)
+{
+    ObsHandles handles;
+    if (!sink)
+        return handles;
+    handles.sink = sink;
+    handles.issued = &sink->metrics.counter(
+        "smbpbi.commands_issued", "OOB capping commands put on the wire");
+    handles.dropped = &sink->metrics.counter(
+        "smbpbi.commands_dropped", "capping commands lost silently");
+    handles.superseded = &sink->metrics.counter(
+        "smbpbi.commands_superseded",
+        "capping commands replaced while still in flight");
+    handles.brakes = &sink->metrics.counter(
+        "smbpbi.brake_commands", "power-brake line togglings");
+    // 100 us .. 100 s at 1 % relative error: OOB command latencies
+    // sit around seconds, brake latencies around milliseconds.
+    handles.applyLatency = &sink->metrics.logHistogram(
+        "smbpbi.apply_latency_s", 1e-4, 100.0, 0.01,
+        "command issue to application latency (seconds)");
+    return handles;
+}
+
 void
 SmbpbiController::attachObservability(obs::Observability *obs,
                                       std::int32_t track)
 {
-    if (!obs) {
-        trace_ = nullptr;
-        issuedStat_ = droppedStat_ = supersededStat_ = brakeStat_ =
-            nullptr;
-        applyLatencyStat_ = nullptr;
-        return;
-    }
-    trace_ = &obs->trace;
+    attachObservability(ObsHandles::resolve(obs), track);
+}
+
+void
+SmbpbiController::attachObservability(const ObsHandles &handles,
+                                      std::int32_t track)
+{
+    POLCA_DCHECK(handles == ObsHandles::resolve(handles.sink),
+                 "OOB channel ", track, ": metric handles differ from "
+                 "the sink's registry (stale or hand-built handle)");
+    obs_ = handles;
     track_ = track;
-    issuedStat_ = &obs->metrics.counter(
-        "smbpbi.commands_issued", "OOB capping commands put on the wire");
-    droppedStat_ = &obs->metrics.counter(
-        "smbpbi.commands_dropped", "capping commands lost silently");
-    supersededStat_ = &obs->metrics.counter(
-        "smbpbi.commands_superseded",
-        "capping commands replaced while still in flight");
-    brakeStat_ = &obs->metrics.counter(
-        "smbpbi.brake_commands", "power-brake line togglings");
-    // 100 us .. 100 s at 1 % relative error: OOB command latencies
-    // sit around seconds, brake latencies around milliseconds.
-    applyLatencyStat_ = &obs->metrics.logHistogram(
-        "smbpbi.apply_latency_s", 1e-4, 100.0, 0.01,
-        "command issue to application latency (seconds)");
 }
 
 void
@@ -45,17 +60,17 @@ SmbpbiController::issue(double lockMhz)
 {
     // A newer command supersedes any pending one.
     if (pending_.pending()) {
-        if (supersededStat_)
-            ++*supersededStat_;
-        if (trace_) {
-            trace_->instant(obs::TraceCategory::Control,
-                            "cap_superseded", sim_.now(), track_);
+        if (obs_.superseded)
+            ++*obs_.superseded;
+        if (obs_.sink) {
+            obs_.sink->trace.instant(obs::TraceCategory::Control,
+                                     "cap_superseded", sim_.now(), track_);
         }
     }
     sim_.queue().cancel(pending_);
     ++issued_;
-    if (issuedStat_)
-        ++*issuedStat_;
+    if (obs_.issued)
+        ++*obs_.issued;
 
     // Loss is decided when the command hits the wire: an injected
     // channel outage swallows it just like a stochastic failure.  A
@@ -73,24 +88,22 @@ SmbpbiController::issue(double lockMhz)
             // application; its duration is the OOB command latency
             // by construction, which the control_plane_timeline
             // example cross-checks against the configuration.
-            if (trace_) {
-                trace_->complete(obs::TraceCategory::Control,
-                                 "cap_issue", issuedAt, now - issuedAt,
-                                 track_, lockMhz);
+            if (obs_.sink) {
+                obs_.sink->trace.complete(obs::TraceCategory::Control,
+                                          "cap_issue", issuedAt,
+                                          now - issuedAt, track_, lockMhz);
             }
-            if (applyLatencyStat_) {
-                applyLatencyStat_->add(
-                    sim::ticksToSeconds(now - issuedAt));
-            }
+            if (obs_.applyLatency)
+                obs_.applyLatency->add(sim::ticksToSeconds(now - issuedAt));
             if (drop) {
                 // Silent failure: no state change, no error signal.
                 ++dropped_;
-                if (droppedStat_)
-                    ++*droppedStat_;
-                if (trace_) {
-                    trace_->instant(obs::TraceCategory::Control,
-                                    "cap_dropped", now, track_,
-                                    lockMhz);
+                if (obs_.dropped)
+                    ++*obs_.dropped;
+                if (obs_.sink) {
+                    obs_.sink->trace.instant(obs::TraceCategory::Control,
+                                             "cap_dropped", now, track_,
+                                             lockMhz);
                 }
                 return;
             }
@@ -117,17 +130,17 @@ void
 SmbpbiController::requestPowerBrake(bool engage)
 {
     ++brakes_;
-    if (brakeStat_)
-        ++*brakeStat_;
+    if (obs_.brakes)
+        ++*obs_.brakes;
     sim::Tick issuedAt = sim_.now();
     sim_.queue().postAfter(
         options_.brakeLatency,
         [this, engage, issuedAt] {
-            if (trace_) {
-                trace_->complete(obs::TraceCategory::Control,
-                                 "brake_cmd", issuedAt,
-                                 sim_.now() - issuedAt, track_,
-                                 engage ? 1.0 : 0.0);
+            if (obs_.sink) {
+                obs_.sink->trace.complete(obs::TraceCategory::Control,
+                                          "brake_cmd", issuedAt,
+                                          sim_.now() - issuedAt, track_,
+                                          engage ? 1.0 : 0.0);
             }
             target_.applyPowerBrake(engage);
         });

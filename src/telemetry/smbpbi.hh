@@ -81,12 +81,40 @@ class SmbpbiController
                      sim::Rng rng, Options options = Options());
 
     /**
-     * Register command counters, the command->apply latency
-     * histogram, and cap_issue/cap_dropped/cap_superseded trace
-     * events with @p obs.  @p track labels this channel in the
-     * exported trace (one Chrome "thread" per channel).
+     * The fleet-wide "smbpbi.*" command counters, the command->apply
+     * latency histogram and the trace recorder of one sink.  Every
+     * channel updates the same objects, so one handle serves every
+     * channel of a manager.
+     */
+    struct ObsHandles
+    {
+        obs::Observability *sink = nullptr;  ///< null: detached
+        obs::Counter *issued = nullptr;
+        obs::Counter *dropped = nullptr;
+        obs::Counter *superseded = nullptr;
+        obs::Counter *brakes = nullptr;
+        obs::LogHistogram *applyLatency = nullptr;
+
+        /** Look the metrics up in @p sink's registry, registering
+         *  them on first use; a null sink gives null handles. */
+        static ObsHandles resolve(obs::Observability *sink);
+
+        bool operator==(const ObsHandles &) const = default;
+    };
+
+    /**
+     * Report command counters, the command->apply latency and
+     * cap_issue/cap_dropped/cap_superseded trace events to @p obs;
+     * null detaches.  @p track labels this channel in the exported
+     * trace (one Chrome "thread" per channel).  Resolves the handles
+     * and attaches them.
      */
     void attachObservability(obs::Observability *obs,
+                             std::int32_t track);
+
+    /** Attach handles resolved once for many channels: no registry
+     *  lookup per channel. */
+    void attachObservability(const ObsHandles &handles,
                              std::int32_t track);
 
     /** Request a frequency lock; applies after commandLatency. */
@@ -134,13 +162,8 @@ class SmbpbiController
     std::uint64_t dropped_ = 0;
     std::uint64_t brakes_ = 0;
 
-    obs::TraceRecorder *trace_ = nullptr;
+    ObsHandles obs_;
     std::int32_t track_ = 0;
-    obs::Counter *issuedStat_ = nullptr;
-    obs::Counter *droppedStat_ = nullptr;
-    obs::Counter *supersededStat_ = nullptr;
-    obs::Counter *brakeStat_ = nullptr;
-    obs::LogHistogram *applyLatencyStat_ = nullptr;
 };
 
 } // namespace polca::telemetry

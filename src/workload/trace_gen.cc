@@ -17,17 +17,16 @@ TraceGenerator::TraceGenerator(std::vector<WorkloadSpec> mix)
         total += w.trafficFraction;
     if (std::abs(total - 1.0) > 1e-6)
         sim::fatal("TraceGenerator: traffic fractions sum to ", total);
+    weights_.reserve(mix_.size());
+    for (const auto &w : mix_)
+        weights_.push_back(w.trafficFraction);
 }
 
 Request
 TraceGenerator::sampleRequest(sim::Rng &rng, sim::Tick arrival,
                               std::uint64_t id) const
 {
-    std::vector<double> weights;
-    weights.reserve(mix_.size());
-    for (const auto &w : mix_)
-        weights.push_back(w.trafficFraction);
-    std::size_t index = rng.weightedIndex(weights);
+    std::size_t index = rng.weightedIndex(weights_);
     const WorkloadSpec &w = mix_[index];
 
     Request request;

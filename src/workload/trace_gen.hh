@@ -91,6 +91,9 @@ class TraceGenerator
 
   private:
     std::vector<WorkloadSpec> mix_;
+    /** The mix's traffic fractions, in mix order: the draw weights of
+     *  sampleRequest(). */
+    std::vector<double> weights_;
 };
 
 } // namespace polca::workload

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "cluster/inference_server.hh"
 #include "llm/model_spec.hh"
 
@@ -556,4 +561,77 @@ TEST(InferenceServer, BusyTicksAccumulate)
     f.sim.runFor(secondsToTicks(60));
     EXPECT_GT(f.server.busyTicks(), secondsToTicks(2));
     EXPECT_LT(f.server.busyTicks(), secondsToTicks(10));
+}
+
+namespace {
+
+/**
+ * Three servers on one pair of shared specs serve one request each,
+ * reporting to a fresh sink: through handles resolved once
+ * (@p oneHandle) or each server attaching to the sink on its own.
+ * @return the sink's metrics dump after the run.
+ */
+std::string
+fleetMetricsDump(bool oneHandle)
+{
+    Simulation sim;
+    polca::llm::ModelCatalog catalog;
+    auto spec = std::make_shared<const polca::power::ServerSpec>(
+        polca::power::ServerSpec::dgxA100_80gb());
+    auto model = std::make_shared<const polca::llm::ModelSpec>(
+        catalog.byName("BLOOM-176B"));
+    polca::obs::Observability sink;
+    InferenceServer::ObsHandles handles =
+        InferenceServer::ObsHandles::resolve(&sink);
+    std::vector<std::unique_ptr<InferenceServer>> servers;
+    for (int id = 0; id < 3; ++id) {
+        servers.push_back(std::make_unique<InferenceServer>(
+            sim, spec, model, Priority::Low, id));
+        if (oneHandle)
+            servers.back()->attachObservability(handles);
+        else
+            servers.back()->attachObservability(&sink);
+    }
+    Request r;
+    r.inputTokens = 1024;
+    r.outputTokens = 16;
+    for (auto &server : servers)
+        server->submit(r);
+    sim.runFor(secondsToTicks(60));
+    EXPECT_EQ(handles.completions->value(), 3u);
+    EXPECT_EQ(handles.batches->value(), 3u);
+    std::ostringstream dump;
+    sink.metrics.dump(dump);
+    return dump.str();
+}
+
+} // namespace
+
+TEST(InferenceServer, ServersAttachedThroughOneHandleUpdateTheSameMetrics)
+{
+    // The handle registers exactly what per-server attachment does,
+    // and every server counts into the one set of fleet metrics.
+    std::string viaHandle = fleetMetricsDump(true);
+    EXPECT_EQ(viaHandle, fleetMetricsDump(false));
+    EXPECT_NE(viaHandle.find("server.completions"), std::string::npos);
+}
+
+TEST(InferenceServer, NullSinkRegistersAndRecordsNothing)
+{
+    EXPECT_EQ(InferenceServer::ObsHandles::resolve(nullptr),
+              InferenceServer::ObsHandles{});
+
+    Fixture f;
+    polca::obs::Observability sink;
+    sink.trace.setCategoryMask(~0u);
+    f.server.attachObservability(&sink);
+    std::size_t registered = sink.metrics.size();
+    f.server.attachObservability(nullptr);
+    f.server.submit(f.request(0, 1024, 16));
+    f.runUntilCompleted(1);
+    ASSERT_EQ(f.completions.size(), 1u);
+    EXPECT_EQ(sink.metrics.size(), registered);
+    EXPECT_EQ(sink.metrics.counter("server.completions").value(), 0u);
+    EXPECT_EQ(sink.metrics.counter("server.batches").value(), 0u);
+    EXPECT_EQ(sink.trace.recorded(), 0u);
 }

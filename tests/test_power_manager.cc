@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/power_manager.hh"
+#include "obs/observability.hh"
 #include "sim/simulation.hh"
 
 using namespace polca::core;
@@ -611,4 +614,73 @@ TEST(PowerManagerDeath, RestartWithoutCrashPanics)
     f.runSeconds(10);
     EXPECT_DEATH(f.manager.controllerRestart(false),
                  "without a crash");
+}
+
+namespace {
+
+/**
+ * A manager over two channels per pool, driven past T2 so that both
+ * pools cap, reporting to a fresh sink attached before the channels
+ * exist (as the experiment harness does) or after them.
+ * @return the sink's metrics dump after the run.
+ */
+std::string
+managerMetricsDump(bool attachBeforeChannels)
+{
+    Simulation sim;
+    DomainManager telemetry(sim, secondsToTicks(2), false);
+    PowerManager manager(sim, telemetry, 10000.0, PolicyConfig::polca(),
+                         Rng(1));
+    telemetry.addSource([] { return 9200.0; });  // above T2 = 89 %
+    polca::obs::Observability sink;
+    if (attachBeforeChannels) {
+        manager.attachObservability(&sink);
+        // No channel yet: nothing of the channels' is registered.
+        EXPECT_FALSE(sink.metrics.has("smbpbi.commands_issued"));
+    }
+    std::vector<std::unique_ptr<FakeTarget>> targets;
+    for (Priority pool :
+         {Priority::Low, Priority::High, Priority::Low, Priority::High}) {
+        targets.push_back(std::make_unique<FakeTarget>());
+        manager.addTarget(pool, targets.back().get());
+    }
+    if (!attachBeforeChannels)
+        manager.attachObservability(&sink);
+    manager.start();
+    telemetry.start();
+    sim.runFor(secondsToTicks(120));
+
+    std::uint64_t issued = 0;
+    for (Priority pool : {Priority::Low, Priority::High}) {
+        for (const SmbpbiController *channel : manager.channels(pool)) {
+            EXPECT_GT(channel->commandsIssued(), 0u);
+            issued += channel->commandsIssued();
+        }
+    }
+    // Every channel of both pools counts into the one metric.
+    EXPECT_EQ(sink.metrics.counter("smbpbi.commands_issued").value(),
+              issued);
+    std::ostringstream dump;
+    sink.metrics.dump(dump);
+    return dump.str();
+}
+
+} // namespace
+
+TEST(PowerManager, ChannelsShareOneSetOfSmbpbiMetrics)
+{
+    EXPECT_EQ(managerMetricsDump(true), managerMetricsDump(false));
+}
+
+TEST(PowerManager, DetachedChannelsRecordNothing)
+{
+    Fixture f;
+    polca::obs::Observability sink;
+    f.manager.attachObservability(&sink);
+    f.manager.attachObservability(nullptr);
+    f.watts = 9200.0;
+    f.runSeconds(120);
+    EXPECT_GE(f.manager.capCommands(), 2u);
+    EXPECT_EQ(sink.metrics.counter("smbpbi.commands_issued").value(), 0u);
+    EXPECT_EQ(sink.metrics.counter("manager.cap_commands").value(), 0u);
 }

@@ -123,8 +123,8 @@ TEST(OneRowSite, ModelResolvedFromCatalog)
     RowConfig config = smallRow(2);
     config.modelName = "Llama2-70B";
     Site site(sim, config, sim::Rng(1));
-    EXPECT_EQ(site.rows().front().model.name, "Llama2-70B");
-    EXPECT_EQ(site.rows().front().model.inferenceGpus, 4);
+    EXPECT_EQ(site.rows().front().model->name, "Llama2-70B");
+    EXPECT_EQ(site.rows().front().model->inferenceGpus, 4);
 }
 
 TEST(OneRowSiteDeath, UnknownModelFatal)

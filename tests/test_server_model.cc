@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -209,6 +210,19 @@ TEST(ServerModel, GpusShareOneSpecAndCopiesShareIt)
     ServerModel copy = server;
     EXPECT_EQ(&copy.spec(), &server.spec());
     EXPECT_EQ(&copy.gpu(0).spec(), &server.spec().gpu);
+
+    // Servers built from one shared spec (a row group) hold that one
+    // block, and so do their GPUs and their copies.
+    auto shared =
+        std::make_shared<const ServerSpec>(ServerSpec::dgxH100());
+    ServerModel a(shared);
+    ServerModel b(shared);
+    ServerModel bCopy = b;
+    for (const ServerModel *s : {&a, &b, &bCopy}) {
+        EXPECT_EQ(&s->spec(), shared.get());
+        for (std::size_t i = 0; i < s->numGpus(); ++i)
+            EXPECT_EQ(&s->gpu(i).spec(), &shared->gpu);
+    }
 }
 
 TEST(ServerModel, CopyDrawsBitwiseLikeTheOriginalAndStaysIndependent)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "obs/observability.hh"
 #include "power/server_model.hh"
 #include "sim/simulation.hh"
 #include "telemetry/smbpbi.hh"
@@ -208,4 +212,79 @@ TEST(Smbpbi, LosslessChannelDropsOnlyCommandsIssuedInAnOutage)
     }
     EXPECT_EQ(smbpbi.commandsIssued(), 30u);
     EXPECT_EQ(smbpbi.commandsDropped(), 10u);
+}
+
+namespace {
+
+/**
+ * Two channels issue the same commands (one superseded, one brake),
+ * reporting to a fresh sink with every trace category on: through
+ * handles resolved once (@p oneHandle) or each channel attaching to
+ * the sink on its own.  @return the sink's metrics dump followed by
+ * its trace CSV.
+ */
+std::string
+channelObservabilityDump(bool oneHandle)
+{
+    Fixture f;
+    polca::obs::Observability sink;
+    sink.trace.setCategoryMask(~0u);
+    SmbpbiController a(f.sim, f.target, Rng(1));
+    SmbpbiController b(f.sim, f.target, Rng(2));
+    if (oneHandle) {
+        SmbpbiController::ObsHandles handles =
+            SmbpbiController::ObsHandles::resolve(&sink);
+        a.attachObservability(handles, 0);
+        b.attachObservability(handles, 1);
+    } else {
+        a.attachObservability(&sink, 0);
+        b.attachObservability(&sink, 1);
+    }
+    a.requestClockLock(1200.0);
+    b.requestClockLock(1100.0);
+    f.sim.runFor(secondsToTicks(10));
+    b.requestClockLock(1000.0);  // supersedes b's first command
+    a.requestPowerBrake(true);
+    f.sim.runFor(secondsToTicks(60));
+    EXPECT_EQ(sink.metrics.counter("smbpbi.commands_issued").value(), 3u);
+    EXPECT_EQ(sink.metrics.counter("smbpbi.commands_superseded").value(),
+              1u);
+    EXPECT_EQ(sink.metrics.counter("smbpbi.brake_commands").value(), 1u);
+    std::ostringstream dump;
+    sink.metrics.dump(dump);
+    sink.trace.exportCsv(dump);
+    return dump.str();
+}
+
+} // namespace
+
+TEST(Smbpbi, ChannelsAttachedThroughOneHandleUpdateTheSameMetrics)
+{
+    // The handle registers exactly what per-channel attachment does,
+    // both channels count into one set of metrics, and each keeps
+    // its own trace track.
+    EXPECT_EQ(channelObservabilityDump(true),
+              channelObservabilityDump(false));
+}
+
+TEST(Smbpbi, NullSinkRegistersAndRecordsNothing)
+{
+    EXPECT_EQ(SmbpbiController::ObsHandles::resolve(nullptr),
+              SmbpbiController::ObsHandles{});
+
+    Fixture f;
+    polca::obs::Observability sink;
+    sink.trace.setCategoryMask(~0u);
+    SmbpbiController channel(f.sim, f.target, Rng(1));
+    channel.attachObservability(&sink, 0);
+    std::size_t registered = sink.metrics.size();
+    channel.attachObservability(nullptr, 0);
+    channel.requestClockLock(1200.0);
+    channel.requestPowerBrake(true);
+    f.sim.runFor(secondsToTicks(60));
+    EXPECT_EQ(channel.commandsIssued(), 1u);
+    EXPECT_EQ(sink.metrics.size(), registered);
+    EXPECT_EQ(sink.metrics.counter("smbpbi.commands_issued").value(), 0u);
+    EXPECT_EQ(sink.metrics.counter("smbpbi.brake_commands").value(), 0u);
+    EXPECT_EQ(sink.trace.recorded(), 0u);
 }

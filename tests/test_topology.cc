@@ -67,6 +67,43 @@ TEST(Topology, BuildsTheDeclaredTree)
     EXPECT_EQ(row.children()[0]->numServers(), 3);
 }
 
+TEST(Topology, EachGroupSharesOneServerSpecAndOneModelSpec)
+{
+    sim::Simulation sim(1);
+    Site site(sim, twoGroupConfig(), RowConfig{}, sim::Rng(11));
+    ASSERT_EQ(site.rows().size(), 3u);
+
+    // Rows a1000 and a1001 are group a100, row h1000 group h100.
+    auto expectShared = [](Site::SiteRow &row,
+                           const power::ServerSpec *server,
+                           const llm::ModelSpec *model) {
+        EXPECT_EQ(row.model.get(), model);
+        for (const InferenceServer *s : row.domain->servers()) {
+            EXPECT_EQ(&s->serverModel().spec(), server);
+            EXPECT_EQ(&s->model(), model);
+        }
+    };
+    InferenceServer &a100 = *site.rows()[0].domain->servers().front();
+    InferenceServer &h100 = *site.rows()[2].domain->servers().front();
+    expectShared(site.rows()[0], &a100.serverModel().spec(), &a100.model());
+    expectShared(site.rows()[1], &a100.serverModel().spec(), &a100.model());
+    expectShared(site.rows()[2], &h100.serverModel().spec(), &h100.model());
+    EXPECT_NE(&a100.serverModel().spec(), &h100.serverModel().spec());
+    EXPECT_NE(&a100.model(), &h100.model());
+    EXPECT_EQ(h100.serverModel().spec().name, "DGX-H100");
+    EXPECT_EQ(h100.model().name, "Llama2-70B");
+
+    // The flat row is one group.
+    RowConfig rowConfig;
+    rowConfig.baseServers = 6;
+    rowConfig.addedServerFraction = 0.5;
+    Site flat(sim, rowConfig, sim::Rng(12));
+    Site::SiteRow &row = flat.rows().front();
+    InferenceServer &first = *row.domain->servers().front();
+    EXPECT_EQ(row.domain->numServers(), 9);
+    expectShared(row, &first.serverModel().spec(), row.model.get());
+}
+
 TEST(Topology, BudgetsStackMultiplicatively)
 {
     sim::Simulation sim(1);

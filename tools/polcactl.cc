@@ -47,7 +47,7 @@
  * the metrics registry (gem5 stats style, or CSV when the file name
  * ends in .csv).  Flags accept both `--flag VALUE` and
  * `--flag=VALUE`; unknown flags are rejected with a nearest-match
- * suggestion.
+ * suggestion, or with the `--set` key that replaced the flag.
  */
 
 #include <charconv>
@@ -60,6 +60,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/table.hh"
@@ -80,6 +81,24 @@
 using namespace polca;
 
 namespace {
+
+/** Flags of `run`, `chaos` and `config dump` that became `--set`
+ *  keys, with the spelling that replaced each. */
+constexpr std::pair<const char *, const char *> kReplacedFlags[] = {
+    {"added", "--set row.added_server_fraction=F"},
+    {"branch", "--set sweep.branch=false"},
+    {"days", "--set experiment.duration=Nd"},
+    {"dropout", "--set row.telemetry_dropout_probability=P"},
+    {"failures", "--set manager.smbpbi_failure_probability=P"},
+    {"jobs", "--set sweep.jobs=N"},
+    {"metrics-interval", "--set obs.interval=SECONDS"},
+    {"policy", "--set policy.preset=NAME"},
+    {"power-scale", "--set experiment.power_scale_factor=F"},
+    {"scenario", "--set faults.scenario=NAME"},
+    {"seed", "--set experiment.seed=S"},
+    {"servers", "--set row.base_servers=N"},
+    {"watchdog", "--set manager.watchdog_enabled=true|false"},
+};
 
 /**
  * --flag VALUE parser over an argv tail.  Every flag must be in the
@@ -179,9 +198,21 @@ class Args
     void
     checkKnown(const std::string &key) const
     {
+        bool takesSet = false;
         for (const std::string &k : known_) {
             if (k == key)
                 return;
+            takesSet |= k == "set";
+        }
+        // A flag that a `--set` key replaced names its replacement
+        // instead of a look-alike flag.
+        if (takesSet) {
+            for (const auto &[flag, replacement] : kReplacedFlags) {
+                if (key == flag) {
+                    sim::fatal("unknown flag '--", key, "' (use ",
+                               replacement, ")");
+                }
+            }
         }
         std::string near = config::nearestKey(key, known_);
         if (near.empty()) {
