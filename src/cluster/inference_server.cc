@@ -120,12 +120,6 @@ InferenceServer::ObsHandles::resolve(obs::Observability *sink)
 }
 
 void
-InferenceServer::attachObservability(obs::Observability *obs)
-{
-    attachObservability(ObsHandles::resolve(obs));
-}
-
-void
 InferenceServer::attachObservability(const ObsHandles &handles)
 {
     POLCA_DCHECK(handles == ObsHandles::resolve(handles.sink),

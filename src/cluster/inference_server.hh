@@ -115,13 +115,10 @@ class InferenceServer : public telemetry::ClockControllable
 
     /**
      * Report serving counters, batch occupancy and per-batch trace
-     * spans (one Chrome "thread" per server id) to @p obs; null
-     * detaches.  Resolves the handles and attaches them.
+     * spans (one Chrome "thread" per server id) through @p handles,
+     * resolved once for the whole fleet (no registry lookup per
+     * server); null handles detach.
      */
-    void attachObservability(obs::Observability *obs);
-
-    /** Attach handles resolved once for the whole fleet: no registry
-     *  lookup per server. */
     void attachObservability(const ObsHandles &handles);
 
     int id() const { return id_; }

@@ -107,8 +107,6 @@ PowerDomain::finalize()
     finalized_ = true;
     for (auto &child : children_)
         child->finalize();
-    numServers_ = walkServers();
-    provisionedWatts_ = walkProvisionedWatts();
     cached_ = !isLeaf() &&
         std::all_of(children_.begin(), children_.end(),
                     [](const std::unique_ptr<PowerDomain> &child) {
@@ -137,22 +135,11 @@ PowerDomain::path() const
 int
 PowerDomain::numServers() const
 {
-    if (!finalized_)
-        return walkServers();
-    POLCA_DCHECK(numServers_ == walkServers(), "domain '", path(),
-                 "': cached server count ", numServers_, " != walk ",
-                 walkServers());
-    return numServers_;
-}
-
-int
-PowerDomain::walkServers() const
-{
     if (isLeaf())
         return server_ ? 1 : 0;
     int total = 0;
     for (const auto &child : children_)
-        total += child->walkServers();
+        total += child->numServers();
     return total;
 }
 
@@ -255,24 +242,11 @@ PowerDomain::markAncestorsStale()
 double
 PowerDomain::provisionedWatts() const
 {
-    if (!finalized_)
-        return walkProvisionedWatts();
-    POLCA_DCHECK(core::bitwiseEqual(provisionedWatts_,
-                                    walkProvisionedWatts()),
-                 "domain '", path(), "': cached provisioned ",
-                 provisionedWatts_, " W != walk ",
-                 walkProvisionedWatts(), " W");
-    return provisionedWatts_;
-}
-
-double
-PowerDomain::walkProvisionedWatts() const
-{
     if (isLeaf())
         return leafBudgetWatts_;
     double total = 0.0;
     for (const auto &child : children_)
-        total += child->walkProvisionedWatts();
+        total += child->provisionedWatts();
     return total;
 }
 

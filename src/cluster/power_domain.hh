@@ -159,8 +159,7 @@ class PowerDomain
     InferenceServer *server() { return server_.get(); }
     const InferenceServer *server() const { return server_.get(); }
 
-    /** Server leaves in this subtree (counted once by finalize(),
-     *  walked before it). */
+    /** Server leaves in this subtree. */
     int numServers() const;
 
     /** All subtree servers, in deterministic construction order. */
@@ -181,8 +180,7 @@ class PowerDomain
      *  re-reading only the children on a reporting leaf's path. */
     double powerWatts() const;
 
-    /** Nameplate provisioned power: the left-to-right sum of leaf
-     *  budgets (summed once by finalize(), walked before it). */
+    /** Nameplate provisioned power: the sum of leaf budgets. */
     double provisionedWatts() const;
 
     /** Oversubscription budget (explicit, or provisionedWatts()
@@ -230,14 +228,6 @@ class PowerDomain
      *  reference the cached sums are cross-checked against. */
     double walkWatts() const;
 
-    /** @name Static sums walked down to the leaves: what numServers()
-     *  and provisionedWatts() return before finalize(), and the
-     *  reference their cached values are cross-checked against. */
-    /** @{ */
-    int walkServers() const;
-    double walkProvisionedWatts() const;
-    /** @} */
-
     /** Report a change of this node's draw: flag its slot in the
      *  parent and mark the parent stale, and so on upward, stopping
      *  after the first ancestor that already was stale (the slots
@@ -269,11 +259,6 @@ class PowerDomain
      *  since (set by markAncestorsStale(), cleared by a re-sum). */
     mutable std::vector<double> childWatts_;
     mutable std::vector<unsigned char> childChanged_;
-
-    /** numServers() and provisionedWatts() once the tree is
-     *  finalized: it cannot change after that. */
-    int numServers_ = 0;
-    double provisionedWatts_ = 0.0;
 
     std::unique_ptr<telemetry::DomainManager> manager_;
     std::unique_ptr<telemetry::BreakerModel> breaker_;

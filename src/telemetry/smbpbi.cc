@@ -38,13 +38,6 @@ SmbpbiController::ObsHandles::resolve(obs::Observability *sink)
 }
 
 void
-SmbpbiController::attachObservability(obs::Observability *obs,
-                                      std::int32_t track)
-{
-    attachObservability(ObsHandles::resolve(obs), track);
-}
-
-void
 SmbpbiController::attachObservability(const ObsHandles &handles,
                                       std::int32_t track)
 {

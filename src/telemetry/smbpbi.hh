@@ -104,16 +104,12 @@ class SmbpbiController
 
     /**
      * Report command counters, the command->apply latency and
-     * cap_issue/cap_dropped/cap_superseded trace events to @p obs;
-     * null detaches.  @p track labels this channel in the exported
-     * trace (one Chrome "thread" per channel).  Resolves the handles
-     * and attaches them.
+     * cap_issue/cap_dropped/cap_superseded trace events through
+     * @p handles, resolved once for many channels (no registry
+     * lookup per channel); null handles detach.  @p track labels
+     * this channel in the exported trace (one Chrome "thread" per
+     * channel).
      */
-    void attachObservability(obs::Observability *obs,
-                             std::int32_t track);
-
-    /** Attach handles resolved once for many channels: no registry
-     *  lookup per channel. */
     void attachObservability(const ObsHandles &handles,
                              std::int32_t track);
 

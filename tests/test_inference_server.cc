@@ -568,7 +568,7 @@ namespace {
 /**
  * Three servers on one pair of shared specs serve one request each,
  * reporting to a fresh sink: through handles resolved once
- * (@p oneHandle) or each server attaching to the sink on its own.
+ * (@p oneHandle) or through handles each server resolves on its own.
  * @return the sink's metrics dump after the run.
  */
 std::string
@@ -587,10 +587,9 @@ fleetMetricsDump(bool oneHandle)
     for (int id = 0; id < 3; ++id) {
         servers.push_back(std::make_unique<InferenceServer>(
             sim, spec, model, Priority::Low, id));
-        if (oneHandle)
-            servers.back()->attachObservability(handles);
-        else
-            servers.back()->attachObservability(&sink);
+        servers.back()->attachObservability(
+            oneHandle ? handles
+                      : InferenceServer::ObsHandles::resolve(&sink));
     }
     Request r;
     r.inputTokens = 1024;
@@ -624,9 +623,10 @@ TEST(InferenceServer, NullSinkRegistersAndRecordsNothing)
     Fixture f;
     polca::obs::Observability sink;
     sink.trace.setCategoryMask(~0u);
-    f.server.attachObservability(&sink);
+    f.server.attachObservability(
+        InferenceServer::ObsHandles::resolve(&sink));
     std::size_t registered = sink.metrics.size();
-    f.server.attachObservability(nullptr);
+    f.server.attachObservability({});
     f.server.submit(f.request(0, 1024, 16));
     f.runUntilCompleted(1);
     ASSERT_EQ(f.completions.size(), 1u);

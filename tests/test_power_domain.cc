@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/power_domain.hh"
-#include "core/contracts.hh"
 #include "llm/model_spec.hh"
 
 using namespace polca::cluster;
@@ -268,102 +266,6 @@ expectChildOrderSums(const PowerDomain &node)
 }
 
 } // namespace
-
-namespace {
-
-/** Server leaves below @p node, counted leaf by leaf. */
-int
-countServers(const PowerDomain &node)
-{
-    int total = 0;
-    node.visit([&total](const PowerDomain &d) {
-        total += d.server() ? 1 : 0;
-    });
-    return total;
-}
-
-using LeafBudgets = std::map<const PowerDomain *, double>;
-
-/** Leaf budgets below @p node, summed child by child left to right. */
-double
-sumLeafBudgets(const PowerDomain &node, const LeafBudgets &leaves)
-{
-    if (node.isLeaf())
-        return leaves.at(&node);
-    double total = 0.0;
-    for (const auto &child : node.children())
-        total += sumLeafBudgets(*child, leaves);
-    return total;
-}
-
-/** The minimum over @p node and its ancestors of the ancestor's
- *  budget times the node's share of the ancestor's provisioned
- *  power. */
-double
-effectiveBudget(const PowerDomain &node, const LeafBudgets &leaves)
-{
-    double effective = node.budgetWatts();
-    double provisioned = sumLeafBudgets(node, leaves);
-    for (const PowerDomain *a = node.parent(); a; a = a->parent()) {
-        double ancestorProvisioned = sumLeafBudgets(*a, leaves);
-        if (ancestorProvisioned > 0.0) {
-            effective = std::min(effective,
-                                 a->budgetWatts() *
-                                     (provisioned / ancestorProvisioned));
-        }
-    }
-    return effective;
-}
-
-} // namespace
-
-TEST(PowerDomain, StaticSumsEqualTheWalkBeforeAndAfterFinalize)
-{
-    // A 2-row site with rack breakers, uneven leaf budgets (so the
-    // order of the additions matters) and a site budget tighter than
-    // its rows.
-    Simulation sim;
-    polca::llm::ModelCatalog catalog;
-    PowerDomain site(sim, domain("site", DomainLevel::Site, 30000.0,
-                                 secondsToTicks(2)));
-    LeafBudgets leaves;
-    int id = 0;
-    for (int r = 0; r < 2; ++r) {
-        PowerDomain &row = site.addChild(
-            domain("row" + std::to_string(r), DomainLevel::Row,
-                   r == 0 ? 20000.0 : 0.0, secondsToTicks(2)));
-        for (int k = 0; k < 2; ++k) {
-            PowerDomain &rack = row.addChild(
-                domain("rack" + std::to_string(k), DomainLevel::Rack, 0.0,
-                       secondsToTicks(2)));
-            for (int s = 0; s <= k + r; ++s, ++id) {
-                double budget = 4950.1 + 0.3 * id;
-                rack.addServer(makeServer(sim, catalog, id), budget);
-                leaves[rack.children().back().get()] = budget;
-            }
-            polca::telemetry::BreakerModel::Config breaker;
-            breaker.breakerLimitWatts = 1.25 * rack.budgetWatts();
-            rack.armBreaker(breaker);
-        }
-    }
-    leaves[&site.addLeaf("meter", [] { return 0.0; }, 0.7)] = 0.7;
-
-    auto expectWalk = [&site, &leaves] {
-        site.visit([&leaves](const PowerDomain &node) {
-            SCOPED_TRACE(node.path());
-            EXPECT_EQ(node.numServers(), countServers(node));
-            EXPECT_TRUE(polca::core::bitwiseEqual(
-                node.provisionedWatts(), sumLeafBudgets(node, leaves)));
-            EXPECT_TRUE(polca::core::bitwiseEqual(
-                node.effectiveBudgetWatts(), effectiveBudget(node, leaves)));
-        });
-    };
-    expectWalk();
-    site.finalize();
-    expectWalk();
-    EXPECT_EQ(site.numServers(), 8);
-    EXPECT_LT(site.children().front()->effectiveBudgetWatts(), 20000.0);
-}
 
 TEST(PowerDomain, EveryServerDrawChangeMovesEveryAncestor)
 {

@@ -219,9 +219,9 @@ namespace {
 /**
  * Two channels issue the same commands (one superseded, one brake),
  * reporting to a fresh sink with every trace category on: through
- * handles resolved once (@p oneHandle) or each channel attaching to
- * the sink on its own.  @return the sink's metrics dump followed by
- * its trace CSV.
+ * handles resolved once (@p oneHandle) or through handles each
+ * channel resolves on its own.  @return the sink's metrics dump
+ * followed by its trace CSV.
  */
 std::string
 channelObservabilityDump(bool oneHandle)
@@ -237,8 +237,10 @@ channelObservabilityDump(bool oneHandle)
         a.attachObservability(handles, 0);
         b.attachObservability(handles, 1);
     } else {
-        a.attachObservability(&sink, 0);
-        b.attachObservability(&sink, 1);
+        a.attachObservability(
+            SmbpbiController::ObsHandles::resolve(&sink), 0);
+        b.attachObservability(
+            SmbpbiController::ObsHandles::resolve(&sink), 1);
     }
     a.requestClockLock(1200.0);
     b.requestClockLock(1100.0);
@@ -276,9 +278,10 @@ TEST(Smbpbi, NullSinkRegistersAndRecordsNothing)
     polca::obs::Observability sink;
     sink.trace.setCategoryMask(~0u);
     SmbpbiController channel(f.sim, f.target, Rng(1));
-    channel.attachObservability(&sink, 0);
+    channel.attachObservability(
+        SmbpbiController::ObsHandles::resolve(&sink), 0);
     std::size_t registered = sink.metrics.size();
-    channel.attachObservability(nullptr, 0);
+    channel.attachObservability({}, 0);
     channel.requestClockLock(1200.0);
     channel.requestPowerBrake(true);
     f.sim.runFor(secondsToTicks(60));

@@ -83,10 +83,11 @@ using namespace polca;
 namespace {
 
 /** Flags of `run`, `chaos` and `config dump` that became `--set`
- *  keys, with the spelling that replaced each. */
+ *  keys, with the spelling that replaced each (ctest
+ *  `polcactl_replaced_flags` feeds each through `config dump`). */
 constexpr std::pair<const char *, const char *> kReplacedFlags[] = {
     {"added", "--set row.added_server_fraction=F"},
-    {"branch", "--set sweep.branch=false"},
+    {"branch", "--set sweep.branch=true|false"},
     {"days", "--set experiment.duration=Nd"},
     {"dropout", "--set row.telemetry_dropout_probability=P"},
     {"failures", "--set manager.smbpbi_failure_probability=P"},
